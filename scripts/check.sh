@@ -23,6 +23,10 @@ else
     echo "== ruff lint == SKIPPED (ruff not installed)"
 fi
 
+echo "== net src/ Python lines =="
+# Reported by every change (see ROADMAP.md); informational, never gating.
+git ls-files 'src/*.py' | xargs cat | wc -l
+
 echo "== tier-1 tests (perf marker deselected) =="
 PYTHONPATH=src python -m pytest tests -q -m "not perf" || status=$?
 
@@ -32,12 +36,14 @@ echo "== tier-1 tests (fused execution engine) =="
 FERRUM_ENGINE=fused PYTHONPATH=src python -m pytest tests -q -m "not perf" \
     || status=$?
 
-echo "== compose bit-identity (composed vs flat campaigns) =="
-# The compositional campaign must stay bit-identical to the flat one and
-# the section cache must hit across process boundaries; this surfaces the
-# contract explicitly even though the file is also part of tier-1.
+echo "== campaign parity (composed vs flat, one JSONL order) =="
+# Mirrors the CI tests-campaign-parity job: the compositional campaign must
+# stay bit-identical to the flat one, the section cache must hit across
+# process boundaries, and every strategy must write byte-identical
+# run-index-ordered JSONL; surfaced explicitly even though both files are
+# also part of tier-1.
 PYTHONPATH=src python -m pytest tests/faultinjection/test_compose_campaign.py \
-    -q || status=$?
+    tests/faultinjection/test_jsonl_order.py -q || status=$?
 
 echo "== convergence early-exit (trail determinism + bit-identity) =="
 # Mirrors the CI tests-converge job: golden digest trails must fingerprint

@@ -6,26 +6,34 @@ aggregated into an :class:`OutcomeCounts` histogram. Sampling is fully
 deterministic from a seed; each run forks its own RNG stream, so campaigns
 are reproducible and embarrassingly parallel in structure.
 
-Two execution engines serve the same sampled plans:
+Every campaign — flat, compositional (:mod:`repro.faultinjection.compose`)
+and the durable service (:mod:`repro.faultinjection.service`) — executes
+its plans through one function, :func:`execute_plans`. Its input is a list
+of *batches*, each a set of plans plus the cursor the batch starts from
+(``None`` = program entry); flat campaigns pass one batch, compose passes
+one per section from the section's entry snapshot. Two execution engines
+serve the same plans:
 
-* ``engine="replay"`` — the classic protocol: every injection re-executes
-  the program from instruction 0, so campaign cost is ~N × full-run time
-  even though all runs share an identical golden prefix up to the fault
-  site.
-* ``engine="checkpoint"`` (default) — plans are sorted by dynamic site,
-  grouped into checkpoint regions, and the shared golden prefix is executed
+* ``engine="checkpoint"`` (default) — a batch's plans are grouped into
+  checkpoint regions by site, and the shared golden prefix is executed
   exactly once: a cursor snapshot advances region to region
   (:meth:`Machine.run_to_site`), and each injection restores the region's
-  O(touched pages) snapshot and runs only its own suffix. Outcomes are
-  bit-identical to the replay engine (plans are RNG-independent and
-  snapshots capture complete architectural state); only the execution
-  strategy changes. See ``docs/fault_model.md``.
+  O(touched pages) snapshot and runs only its own suffix.
+* ``engine="replay"`` — the classic protocol and the reference oracle:
+  every region snapshot is ``None``, so each injection re-executes the
+  program from instruction 0.
+
+Outcomes are bit-identical across engines (plans are RNG-independent and
+snapshots capture complete architectural state); only the execution
+strategy changes. See ``docs/fault_model.md``.
 
 ``telemetry=True`` (or a ``jsonl_path``) additionally collects one
 :class:`FaultRecord` per fault — attribution, register/bit, detection
 latency — plus :class:`CheckpointStats` under the checkpoint engine.
 Telemetry is purely observational: outcome counts are bit-identical with
-it on or off, and the default-off path adds no per-run work.
+it on or off, and the default-off path adds no per-run work. JSONL files
+are always written in run-index order, whatever the engine, process
+count, pruning or composition.
 """
 
 from __future__ import annotations
@@ -41,9 +49,10 @@ from repro.faultinjection.equivalence import (
     analyze_plans,
 )
 from repro.faultinjection.injector import (
-    FaultPlan,
+    IndexedPlan,
     inject_asm_fault,
     inject_ir_fault,
+    sample_plans,
 )
 from repro.faultinjection.outcome import Outcome, OutcomeCounts
 from repro.faultinjection.telemetry import (
@@ -55,18 +64,13 @@ from repro.faultinjection.telemetry import (
 from repro.ir.interp import IRInterpreter
 from repro.ir.module import IRModule
 from repro.machine.converge import ConvergenceTrail, record_trail
-from repro.machine.cpu import Machine, MachineSnapshot
-from repro.utils.rng import DeterministicRng
+from repro.machine.cpu import Machine
 
 if TYPE_CHECKING:  # circular at runtime: compose builds on this module
     from repro.faultinjection.compose import ComposeStats
 
-#: Execution strategies accepted by ``run_campaign``/``run_ir_campaign``.
+#: Execution strategies accepted by :func:`execute_plans`.
 ENGINES = ("checkpoint", "replay")
-
-#: An (run_index, plan) pair — campaigns thread run indices through every
-#: engine so telemetry records identify the RNG stream that drew them.
-IndexedPlan = tuple[int, FaultPlan]
 
 
 @dataclass
@@ -150,12 +154,14 @@ def _open_sink(jsonl_path, mode: str) -> JsonlSink | None:
 class _RunOrderedWriter:
     """Streams records to a sink in run-index order as they become available.
 
-    Pruned campaigns complete their runs out of run-index order (executed
-    representatives arrive in site order; synthesized verdicts exist before
-    execution starts; duplicates complete when their representative does).
-    This reorder buffer flushes each record the moment every lower run
-    index has been written, so the final file stays byte-identical to the
-    buffered (sorted-by-run-index) order — and it is *bounded*: synthesized
+    Campaigns complete their runs out of run-index order (the checkpoint
+    engine executes in site order, compose section by section, workers
+    region by region; under pruning, synthesized verdicts exist before
+    execution starts and duplicates complete when their representative
+    does). This reorder buffer flushes each record the moment every lower
+    run index has been written, so every campaign's file has the same
+    run-index byte order. ``analysis`` (pruned campaigns only) supplies the
+    synthesized and duplicate runs. The buffer is *bounded*: synthesized
     verdicts are consulted lazily from the analysis at their flush point
     (never copied in), duplicate clones are materialized only at the
     instant they are written, and a representative's record is retained
@@ -165,7 +171,11 @@ class _RunOrderedWriter:
     high-water mark so tests can pin the bound.
     """
 
-    def __init__(self, sink: JsonlSink, analysis: PruningAnalysis) -> None:
+    def __init__(
+        self, sink: JsonlSink, analysis: PruningAnalysis | None = None
+    ) -> None:
+        if analysis is None:
+            analysis = PruningAnalysis()
         self._sink = sink
         self._duplicates = analysis.duplicates
         self._dup_of = {
@@ -223,7 +233,7 @@ class _RunOrderedWriter:
 
 
 def _checkpoint_schedule(
-    plans: list[IndexedPlan], interval: int | None
+    plans: list[IndexedPlan], interval: int | None, entry_site: int = 0
 ) -> list[tuple[int, list[IndexedPlan]]]:
     """Group indexed plans by the checkpoint that serves them, by site.
 
@@ -232,215 +242,53 @@ def _checkpoint_schedule(
     of K sites, trading up to K-1 sites of fast-forward per injection for
     fewer, coarser snapshots — the knob that matters when region snapshots
     must be materialized simultaneously (the multiprocessing path).
+    ``entry_site`` is the site of the cursor the plans start from: a
+    multiple of K below it is clamped up to it, since a cursor cannot run
+    backwards from a section entry.
     """
     if interval is not None and interval < 1:
         raise InjectionError(f"checkpoint interval must be >= 1, got {interval}")
     regions: dict[int, list[IndexedPlan]] = {}
     for indexed in plans:
         site = indexed[1].site_index
-        checkpoint = site if interval is None else site - site % interval
+        checkpoint = (site if interval is None
+                      else max(entry_site, site - site % interval))
         regions.setdefault(checkpoint, []).append(indexed)
     return sorted(regions.items())
 
 
-def _finish(
-    result: CampaignResult,
-    results,
-    telemetry: bool,
-    sink: JsonlSink | None,
-    streamed: bool,
-) -> CampaignResult:
+def _finish(result: CampaignResult, results, telemetry: bool) -> CampaignResult:
     """Fold per-run results into the campaign aggregate.
 
     ``results`` is an iterable of (run_index, Outcome | FaultRecord); with
-    telemetry the records are kept sorted by run index and — unless the
-    sequential engine already ``streamed`` them — written to ``sink``.
+    telemetry the records are kept sorted by run index.
     """
     if telemetry:
-        ordered = [record for _, record in sorted(results,
-                                                  key=lambda pair: pair[0])]
-        for record in ordered:
-            result.outcomes.record(record.outcome)
-            if sink is not None and not streamed:
-                sink.write(record)
-        result.records = ordered
+        result.records = [record for _, record in sorted(
+            results, key=lambda pair: pair[0])]
+        outcomes = [record.outcome for record in result.records]
     else:
-        for _, outcome in results:
-            result.outcomes.record(outcome)
+        outcomes = [outcome for _, outcome in results]
+    for outcome in outcomes:
+        result.outcomes.record(outcome)
     return result
 
 
-def _checkpointed_asm_results(
-    program: AsmProgram,
-    plans: list[IndexedPlan],
-    golden,
-    function: str,
-    args: tuple[int, ...],
-    interval: int | None,
-    telemetry: bool = False,
-    stats: CheckpointStats | None = None,
-    sink=None,
-    machine: Machine | None = None,
-    cursor: MachineSnapshot | None = None,
-    trail=None,
-    conv_stats=None,
-) -> list:
-    """Serve all plans off one incremental golden-prefix pass (sequential).
-
-    ``machine``/``cursor`` let compositional campaigns resume the pass from
-    a section-entry snapshot instead of program entry; the default (both
-    ``None``) executes the golden prefix from scratch, as flat campaigns do.
-    ``trail``/``conv_stats`` thread convergence early-exit through every
-    injection (see :func:`run_campaign`'s ``converge``).
-    """
-    results = []
-    if machine is None:
-        machine = Machine(program)
-    for checkpoint_site, region_plans in _checkpoint_schedule(plans, interval):
-        cursor = machine.run_to_site(checkpoint_site, function=function,
-                                     args=args, resume_from=cursor)
-        if stats is not None:
-            stats.note_snapshot(cursor)
-        for run_index, plan in region_plans:
-            outcome = inject_asm_fault(program, plan, golden,
-                                       function=function, args=args,
-                                       machine=machine, resume_from=cursor,
-                                       telemetry=telemetry,
-                                       run_index=run_index,
-                                       converge=trail,
-                                       converge_stats=conv_stats)
-            if stats is not None:
-                stats.restores += 1
-                stats.fast_forward_sites += plan.site_index - checkpoint_site
-            if sink is not None and telemetry:
-                sink.write(outcome)
-            results.append((run_index, outcome))
-    return results
-
-
-def _checkpointed_ir_results(
-    module: IRModule,
-    plans: list[IndexedPlan],
-    golden,
-    function: str,
-    args: tuple[int, ...],
-    interval: int | None,
-    telemetry: bool = False,
-    stats: CheckpointStats | None = None,
-    sink: JsonlSink | None = None,
-) -> list:
-    """IR twin of :func:`_checkpointed_asm_results`."""
-    results = []
-    interp = IRInterpreter(module)
-    cursor = None
-    for checkpoint_site, region_plans in _checkpoint_schedule(plans, interval):
-        cursor = interp.run_to_site(checkpoint_site, function=function,
-                                    args=args, resume_from=cursor)
-        if stats is not None:
-            stats.note_snapshot(cursor)
-        for run_index, plan in region_plans:
-            outcome = inject_ir_fault(module, plan, golden, function=function,
-                                      args=args, interp=interp,
-                                      resume_from=cursor, telemetry=telemetry,
-                                      run_index=run_index)
-            if stats is not None:
-                stats.restores += 1
-                stats.fast_forward_sites += plan.site_index - checkpoint_site
-            if sink is not None and telemetry:
-                sink.write(outcome)
-            results.append((run_index, outcome))
-    return results
-
-
-#: State inherited by forked campaign workers (see ``run_campaign``).
+#: State inherited by forked campaign workers (see :func:`execute_plans`).
 _PARALLEL_STATE: dict = {}
 
 
-def _parallel_inject(indexed: IndexedPlan):
-    state = _PARALLEL_STATE
-    run_index, plan = indexed
-    return run_index, inject_asm_fault(
-        state["program"], plan, state["golden"],
-        function=state["function"], args=state["args"],
-        telemetry=state["telemetry"], run_index=run_index,
-    )
+def _inject_region(region_index: int):
+    """The pool worker: serve one ``(snapshot, plans)`` region.
 
-
-def _parallel_inject_region(region_index: int) -> list:
-    """Worker for the checkpoint-aware pool: one restore-base per region."""
-    state = _PARALLEL_STATE
-    snapshot, region_plans = state["regions"][region_index]
-    machine = state["machine"]
-    return [
-        (run_index,
-         inject_asm_fault(state["program"], plan, state["golden"],
-                          function=state["function"], args=state["args"],
-                          machine=machine, resume_from=snapshot,
-                          telemetry=state["telemetry"], run_index=run_index))
-        for run_index, plan in region_plans
-    ]
-
-
-def _parallel_inject_converge(indexed: IndexedPlan):
-    """Replay-engine worker with convergence early-exit.
-
-    Returns ``((run_index, outcome), stats)`` so the parent can merge the
-    per-run :class:`ConvergenceStats` deterministically (all fields are
-    order-independent sums). Kept separate from :func:`_parallel_inject`
-    so non-converge campaigns keep their exact result shape.
+    Returns the region's (run_index, result) pairs and the worker-local
+    :class:`ConvergenceStats` (``None`` without a trail), which the parent
+    merges — every field is an order-independent sum.
     """
     state = _PARALLEL_STATE
-    run_index, plan = indexed
-    stats = ConvergenceStats()
-    outcome = inject_asm_fault(
-        state["program"], plan, state["golden"],
-        function=state["function"], args=state["args"],
-        telemetry=state["telemetry"], run_index=run_index,
-        converge=state["trail"], converge_stats=stats,
-    )
-    return (run_index, outcome), stats
-
-
-def _parallel_inject_region_converge(region_index: int):
-    """Checkpoint-engine region worker with convergence early-exit."""
-    state = _PARALLEL_STATE
-    snapshot, region_plans = state["regions"][region_index]
-    machine = state["machine"]
-    stats = ConvergenceStats()
-    pairs = [
-        (run_index,
-         inject_asm_fault(state["program"], plan, state["golden"],
-                          function=state["function"], args=state["args"],
-                          machine=machine, resume_from=snapshot,
-                          telemetry=state["telemetry"], run_index=run_index,
-                          converge=state["trail"], converge_stats=stats))
-        for run_index, plan in region_plans
-    ]
-    return pairs, stats
-
-
-def _parallel_inject_ir(indexed: IndexedPlan):
-    state = _PARALLEL_STATE
-    run_index, plan = indexed
-    return run_index, inject_ir_fault(
-        state["module"], plan, state["golden"],
-        function=state["function"], args=state["args"],
-        telemetry=state["telemetry"], run_index=run_index,
-    )
-
-
-def _parallel_inject_ir_region(region_index: int) -> list:
-    state = _PARALLEL_STATE
-    snapshot, region_plans = state["regions"][region_index]
-    interp = state["interp"]
-    return [
-        (run_index,
-         inject_ir_fault(state["module"], plan, state["golden"],
-                         function=state["function"], args=state["args"],
-                         interp=interp, resume_from=snapshot,
-                         telemetry=state["telemetry"], run_index=run_index))
-        for run_index, plan in region_plans
-    ]
+    snapshot, plans = state["regions"][region_index]
+    conv_stats = ConvergenceStats() if state["converge"] else None
+    return state["serve"](snapshot, plans, conv_stats), conv_stats
 
 
 def _fork_context():
@@ -491,6 +339,158 @@ def _pooled(context, processes: int, worker, tasks, chunksize: int) -> list:
         _PARALLEL_STATE.clear()
 
 
+def execute_plans(
+    target: AsmProgram | IRModule,
+    golden,
+    batches: list[tuple[object | None, list[IndexedPlan]]],
+    function: str = "main",
+    args: tuple[int, ...] = (),
+    engine: str = "checkpoint",
+    checkpoint_interval: int | None = None,
+    processes: int = 1,
+    telemetry: bool = False,
+    trail: ConvergenceTrail | None = None,
+    sink=None,
+    runner: Machine | IRInterpreter | None = None,
+) -> tuple[list[list], CheckpointStats | None, ConvergenceStats | None]:
+    """Inject every plan of every batch; the one campaign execution core.
+
+    Each batch is ``(entry_cursor, plans)``: ``entry_cursor`` is a
+    snapshot (taken with a runner of ``target``) the batch's plans start
+    from, or ``None`` for program entry. Under ``engine="checkpoint"`` a
+    batch's plans are grouped by :func:`_checkpoint_schedule` and a cursor
+    marches region to region from the entry; under ``engine="replay"``
+    every plan is its own region with snapshot ``None`` (a full run from
+    instruction 0). ``target`` picks the level: an :class:`IRModule` runs
+    on an :class:`IRInterpreter` through :func:`inject_ir_fault`, an
+    :class:`AsmProgram` on a :class:`Machine` through
+    :func:`inject_asm_fault` (``runner`` reuses an existing one).
+
+    Sequential execution marches lazily, holding one cursor at a time;
+    ``processes > 1`` materializes every region snapshot, then forks
+    workers that each serve one region off its snapshot (sequential where
+    ``fork`` is unavailable). ``sink`` receives every executed result as it
+    becomes available (telemetry campaigns only), in completion order.
+
+    Returns each batch's (run_index, Outcome | FaultRecord) pairs, the
+    :class:`CheckpointStats` (telemetry checkpoint campaigns, else
+    ``None``) and the :class:`ConvergenceStats` (``trail`` given, else
+    ``None``).
+    """
+    if engine not in ENGINES:
+        raise InjectionError(f"unknown engine {engine!r}; known: {ENGINES}")
+    if isinstance(target, IRModule):
+        runner = runner or IRInterpreter(target)
+
+        def serve(snapshot, plans, conv_stats):
+            return [(run_index, inject_ir_fault(
+                target, plan, golden, function=function, args=args,
+                interp=runner, resume_from=snapshot, telemetry=telemetry,
+                run_index=run_index,
+            )) for run_index, plan in plans]
+    else:
+        runner = runner or Machine(target)
+
+        def serve(snapshot, plans, conv_stats):
+            return [(run_index, inject_asm_fault(
+                target, plan, golden, function=function, args=args,
+                machine=runner, resume_from=snapshot, telemetry=telemetry,
+                run_index=run_index, converge=trail,
+                converge_stats=conv_stats,
+            )) for run_index, plan in plans]
+
+    stats = CheckpointStats() if telemetry and engine == "checkpoint" else None
+    conv_stats = ConvergenceStats() if trail is not None else None
+
+    def march():
+        """Yield (batch, snapshot, plans) regions, one live cursor at a time."""
+        for batch, (cursor, plans) in enumerate(batches):
+            if engine == "replay":
+                for indexed in plans:
+                    yield batch, None, [indexed]
+                continue
+            entry_site = cursor.sites if cursor is not None else 0
+            for site, region_plans in _checkpoint_schedule(
+                plans, checkpoint_interval, entry_site
+            ):
+                cursor = runner.run_to_site(site, function=function,
+                                            args=args, resume_from=cursor)
+                if stats is not None:
+                    stats.note_snapshot(cursor)
+                    stats.restores += len(region_plans)
+                    stats.fast_forward_sites += sum(
+                        plan.site_index - site for _, plan in region_plans
+                    )
+                yield batch, cursor, region_plans
+
+    results: list[list] = [[] for _ in batches]
+    context = (_fork_context()
+               if processes > 1 and any(plans for _, plans in batches)
+               else None)
+    if context is not None:
+        owners, regions = [], []
+        for batch, snapshot, region_plans in march():
+            owners.append(batch)
+            regions.append((snapshot, region_plans))
+        _PARALLEL_STATE.update(regions=regions, serve=serve,
+                               converge=trail is not None)
+        served = zip(owners, _pooled(context, processes, _inject_region,
+                                     range(len(regions)), chunksize=1))
+    else:
+        served = (
+            (batch, (serve(snapshot, region_plans, conv_stats), None))
+            for batch, snapshot, region_plans in march()
+        )
+    for batch, (pairs, worker_conv) in served:
+        if worker_conv is not None:
+            conv_stats.merge(worker_conv)
+        if sink is not None:
+            for _, record in pairs:
+                sink.write(record)
+        results[batch].extend(pairs)
+    return results, stats, conv_stats
+
+
+def _run_batches(
+    result: CampaignResult,
+    target: AsmProgram | IRModule,
+    golden,
+    batches: list,
+    telemetry: bool,
+    jsonl_path,
+    jsonl_mode: str,
+    analysis: PruningAnalysis | None = None,
+    served=(),
+    **options,
+) -> list[list]:
+    """Execute ``batches`` and fold everything into ``result``.
+
+    ``served`` holds results known without execution (compose cache hits)
+    and ``analysis`` the pruned runs; both join the executed results in
+    the aggregate, and every record streams to ``jsonl_path`` through one
+    run-index reorder buffer. Returns the executed results per batch.
+    """
+    sink = _open_sink(jsonl_path, jsonl_mode)
+    try:
+        writer = _RunOrderedWriter(sink, analysis) if sink is not None else None
+        if writer is not None:
+            for _, record in served:
+                writer.write(record)
+        per_batch, result.checkpoint_stats, result.convergence_stats = (
+            execute_plans(target, golden, batches, telemetry=telemetry,
+                          sink=writer, **options)
+        )
+        executed = list(served) + [pair for pairs in per_batch
+                                   for pair in pairs]
+        if analysis is not None:
+            executed += _expand_pruned(analysis, executed, telemetry)
+        _finish(result, executed, telemetry)
+        return per_batch
+    finally:
+        if sink is not None:
+            sink.close()
+
+
 def run_campaign(
     program: AsmProgram,
     samples: int,
@@ -527,11 +527,11 @@ def run_campaign(
     ``telemetry=True`` collects one :class:`FaultRecord` per fault into
     ``result.records`` (and fills ``result.checkpoint_stats`` under the
     checkpoint engine); ``jsonl_path`` implies telemetry and streams the
-    records to disk as JSONL — incrementally in sequential engines, after
-    collection in multiprocessing ones. ``jsonl_mode="a"`` appends to an
-    existing file instead of truncating, so multi-invocation workflows can
-    accumulate one stream. Outcome counts are bit-identical with telemetry
-    on or off.
+    records to disk as JSONL in run-index order — incrementally in
+    sequential campaigns, after collection in multiprocessing ones.
+    ``jsonl_mode="a"`` appends to an existing file instead of truncating,
+    so multi-invocation workflows can accumulate one stream. Outcome
+    counts are bit-identical with telemetry on or off.
 
     ``prune=True`` runs the outcome-equivalence pass
     (:mod:`repro.faultinjection.equivalence`) first: plans whose outcome is
@@ -555,8 +555,6 @@ def run_campaign(
     and any process count — the trail is recorded once pre-fork and
     inherited by workers.
     """
-    if engine not in ENGINES:
-        raise InjectionError(f"unknown engine {engine!r}; known: {ENGINES}")
     telemetry = telemetry or jsonl_path is not None
     golden = Machine(program).run(function=function, args=args)
     result = CampaignResult(
@@ -564,127 +562,22 @@ def run_campaign(
         fault_sites=golden.fault_sites,
         dynamic_instructions=golden.dynamic_instructions,
     )
-    rng = DeterministicRng(seed)
-    plans: list[IndexedPlan] = [
-        (run_index, FaultPlan.sample(rng.fork(run_index), golden.fault_sites))
-        for run_index in range(samples)
-    ]
+    plans = sample_plans(seed, samples, golden.fault_sites)
     analysis = None
     if prune:
         analysis = analyze_plans(program, plans, function=function, args=args,
                                  telemetry=telemetry)
         plans = analysis.to_execute
         result.pruning_stats = analysis.stats
-    trail: ConvergenceTrail | None = None
-    conv_stats: ConvergenceStats | None = None
-    if converge:
-        trail = record_trail(program, golden, function=function, args=args,
-                             interval=converge_interval)
-        conv_stats = ConvergenceStats()
-        result.convergence_stats = conv_stats
-    stats = CheckpointStats() if telemetry and engine == "checkpoint" else None
-    result.checkpoint_stats = stats
-    context = _fork_context() if processes > 1 else None
-    parallel = processes > 1 and context is not None
-    sink = _open_sink(jsonl_path, jsonl_mode)
-    # Sequential pruned campaigns stream through a run-index reorder buffer:
-    # executed records release as they complete, synthesized and duplicate
-    # records interleave at their run indices, and the file ends up
-    # byte-identical to the buffered (sorted-by-run-index) order.
-    streamer = None
-    stream_sink = sink
-    if analysis is not None and sink is not None and not parallel:
-        streamer = _RunOrderedWriter(sink, analysis)
-        stream_sink = streamer
-
-    def _complete(results, streamed: bool) -> CampaignResult:
-        if analysis is not None:
-            executed = list(results)
-            results = executed + _expand_pruned(analysis, executed, telemetry)
-            streamed = streamed and streamer is not None
-        return _finish(result, results, telemetry, sink, streamed)
-
-    try:
-        if parallel:
-            if engine == "checkpoint":
-                machine = Machine(program)
-                regions = []
-                cursor = None
-                for site, region_plans in _checkpoint_schedule(
-                    plans, checkpoint_interval
-                ):
-                    cursor = machine.run_to_site(site, function=function,
-                                                 args=args, resume_from=cursor)
-                    if stats is not None:
-                        stats.note_snapshot(cursor)
-                        stats.restores += len(region_plans)
-                        stats.fast_forward_sites += sum(
-                            plan.site_index - site for _, plan in region_plans
-                        )
-                    regions.append((cursor, region_plans))
-                _PARALLEL_STATE.update(
-                    program=program, golden=golden, function=function,
-                    args=args, machine=machine, regions=regions,
-                    telemetry=telemetry,
-                )
-                if trail is not None:
-                    _PARALLEL_STATE.update(trail=trail)
-                    per_region = _pooled(context, processes,
-                                         _parallel_inject_region_converge,
-                                         range(len(regions)), chunksize=1)
-                    results = []
-                    for pairs, worker_stats in per_region:
-                        results.extend(pairs)
-                        conv_stats.merge(worker_stats)
-                else:
-                    per_region = _pooled(context, processes,
-                                         _parallel_inject_region,
-                                         range(len(regions)), chunksize=1)
-                    results = [pair for region in per_region
-                               for pair in region]
-            else:
-                _PARALLEL_STATE.update(
-                    program=program, golden=golden, function=function,
-                    args=args, telemetry=telemetry,
-                )
-                if trail is not None:
-                    _PARALLEL_STATE.update(trail=trail)
-                    per_run = _pooled(context, processes,
-                                      _parallel_inject_converge, plans,
-                                      chunksize=8)
-                    results = []
-                    for pair, worker_stats in per_run:
-                        results.append(pair)
-                        conv_stats.merge(worker_stats)
-                else:
-                    results = _pooled(context, processes, _parallel_inject,
-                                      plans, chunksize=8)
-            return _complete(results, streamed=False)
-
-        if engine == "checkpoint":
-            results = _checkpointed_asm_results(
-                program, plans, golden, function, args, checkpoint_interval,
-                telemetry=telemetry, stats=stats, sink=stream_sink,
-                trail=trail, conv_stats=conv_stats,
-            )
-            return _complete(results, streamed=True)
-
-        machine = Machine(program)
-        results = []
-        for run_index, plan in plans:
-            outcome = inject_asm_fault(program, plan, golden,
-                                       function=function, args=args,
-                                       machine=machine, telemetry=telemetry,
-                                       run_index=run_index,
-                                       converge=trail,
-                                       converge_stats=conv_stats)
-            if stream_sink is not None and telemetry:
-                stream_sink.write(outcome)
-            results.append((run_index, outcome))
-        return _complete(results, streamed=True)
-    finally:
-        if sink is not None:
-            sink.close()
+    trail = (record_trail(program, golden, function=function, args=args,
+                          interval=converge_interval)
+             if converge else None)
+    _run_batches(result, program, golden, [(None, plans)], telemetry,
+                 jsonl_path, jsonl_mode, analysis=analysis,
+                 function=function, args=args, engine=engine,
+                 checkpoint_interval=checkpoint_interval,
+                 processes=processes, trail=trail)
+    return result
 
 
 def run_ir_campaign(
@@ -717,8 +610,6 @@ def run_ir_campaign(
     IR interpreter does not expose — both raise :class:`InjectionError`
     instead of a bare ``TypeError``.
     """
-    if engine not in ENGINES:
-        raise InjectionError(f"unknown engine {engine!r}; known: {ENGINES}")
     if converge:
         raise InjectionError(
             "convergence early-exit is assembly-level only: the digest "
@@ -742,70 +633,9 @@ def run_ir_campaign(
         fault_sites=golden.fault_sites,
         dynamic_instructions=golden.dynamic_instructions,
     )
-    rng = DeterministicRng(seed)
-    plans: list[IndexedPlan] = [
-        (run_index, FaultPlan.sample(rng.fork(run_index), golden.fault_sites))
-        for run_index in range(samples)
-    ]
-    stats = CheckpointStats() if telemetry and engine == "checkpoint" else None
-    result.checkpoint_stats = stats
-    sink = _open_sink(jsonl_path, jsonl_mode)
-
-    try:
-        context = _fork_context() if processes > 1 else None
-        if processes > 1 and context is not None:
-            if engine == "checkpoint":
-                interp = IRInterpreter(module)
-                regions = []
-                cursor = None
-                for site, region_plans in _checkpoint_schedule(
-                    plans, checkpoint_interval
-                ):
-                    cursor = interp.run_to_site(site, function=function,
-                                                args=args, resume_from=cursor)
-                    if stats is not None:
-                        stats.note_snapshot(cursor)
-                        stats.restores += len(region_plans)
-                        stats.fast_forward_sites += sum(
-                            plan.site_index - site for _, plan in region_plans
-                        )
-                    regions.append((cursor, region_plans))
-                _PARALLEL_STATE.update(
-                    module=module, golden=golden, function=function,
-                    args=args, interp=interp, regions=regions,
-                    telemetry=telemetry,
-                )
-                per_region = _pooled(context, processes,
-                                     _parallel_inject_ir_region,
-                                     range(len(regions)), chunksize=1)
-                results = [pair for region in per_region for pair in region]
-            else:
-                _PARALLEL_STATE.update(
-                    module=module, golden=golden, function=function,
-                    args=args, telemetry=telemetry,
-                )
-                results = _pooled(context, processes, _parallel_inject_ir,
-                                  plans, chunksize=8)
-            return _finish(result, results, telemetry, sink, streamed=False)
-
-        if engine == "checkpoint":
-            results = _checkpointed_ir_results(
-                module, plans, golden, function, args, checkpoint_interval,
-                telemetry=telemetry, stats=stats, sink=sink,
-            )
-            return _finish(result, results, telemetry, sink, streamed=True)
-
-        interp = IRInterpreter(module)
-        results = []
-        for run_index, plan in plans:
-            outcome = inject_ir_fault(module, plan, golden,
-                                      function=function, args=args,
-                                      interp=interp, telemetry=telemetry,
-                                      run_index=run_index)
-            if sink is not None and telemetry:
-                sink.write(outcome)
-            results.append((run_index, outcome))
-        return _finish(result, results, telemetry, sink, streamed=True)
-    finally:
-        if sink is not None:
-            sink.close()
+    plans = sample_plans(seed, samples, golden.fault_sites)
+    _run_batches(result, module, golden, [(None, plans)], telemetry,
+                 jsonl_path, jsonl_mode, function=function, args=args,
+                 engine=engine, checkpoint_interval=checkpoint_interval,
+                 processes=processes)
+    return result

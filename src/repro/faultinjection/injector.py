@@ -72,6 +72,24 @@ class FaultPlan:
         )
 
 
+#: An (run_index, plan) pair — campaigns thread run indices through every
+#: execution strategy so telemetry records identify the RNG stream that
+#: drew them.
+IndexedPlan = tuple[int, FaultPlan]
+
+
+def sample_plans(seed: int, samples: int, fault_sites: int) -> list[IndexedPlan]:
+    """A campaign's plan population: run ``i`` draws from ``rng.fork(i)``.
+
+    Every campaign entry point (flat, compositional, the durable service)
+    draws through here, so one seed yields one population however the
+    runs are later routed, sharded or executed.
+    """
+    rng = DeterministicRng(seed)
+    return [(run_index, FaultPlan.sample(rng.fork(run_index), fault_sites))
+            for run_index in range(samples)]
+
+
 def profile_fault_sites(
     program: AsmProgram, function: str = "main",
     args: tuple[int, ...] = (), max_instructions: int | None = None,

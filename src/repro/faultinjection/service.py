@@ -9,12 +9,13 @@ and every state transition is journaled to disk so the service can be
 
 **Sharding.** Each (workload, technique) *unit* draws its full plan
 population exactly as :func:`~repro.faultinjection.campaign.run_campaign`
-does — ``FaultPlan.sample(rng.fork(i), fault_sites)`` per run index — so
-plan contents are independent of shard boundaries. Plans are sorted by
-fault site and chunked into contiguous *site-range* shards: a worker
-executes one shard by marching a golden-prefix cursor only across its
-range (:func:`campaign._checkpointed_asm_results`), which keeps per-shard
-work proportional to its range plus one prefix replay.
+does (:func:`~repro.faultinjection.injector.sample_plans`), so plan
+contents are independent of shard boundaries. Plans are sorted by fault
+site and chunked into contiguous *site-range* shards: a worker executes
+one shard as a single batch of
+:func:`~repro.faultinjection.campaign.execute_plans`, marching a
+golden-prefix cursor only across its range, which keeps per-shard work
+proportional to its range plus one prefix replay.
 
 **Durability contract.** The state directory holds:
 
@@ -64,10 +65,10 @@ from typing import Callable, Iterator
 from repro.errors import ServiceError
 from repro.faultinjection.campaign import (
     IndexedPlan,
-    _checkpointed_asm_results,
     _fork_context,
+    execute_plans,
 )
-from repro.faultinjection.injector import FaultPlan
+from repro.faultinjection.injector import sample_plans
 from repro.faultinjection.outcome import Outcome
 from repro.faultinjection.telemetry import (
     FaultRecord,
@@ -80,7 +81,6 @@ from repro.machine.cpu import Machine, RunResult
 from repro.pipeline import VARIANTS, build_variants
 from repro.utils.journal import Journal, durable_replace
 from repro.utils.locking import FileLock
-from repro.utils.rng import DeterministicRng
 from repro.workloads import get_workload
 
 #: Bumped when the journal schema or state layout changes; mismatched
@@ -264,12 +264,7 @@ def compile_campaign(spec: CampaignSpec) -> list[CompiledUnit]:
             build = build_variants(source, names=names)
             program = build[technique].asm
             golden = Machine(program).run()
-            rng = DeterministicRng(spec.seed)
-            plans: list[IndexedPlan] = [
-                (run_index,
-                 FaultPlan.sample(rng.fork(run_index), golden.fault_sites))
-                for run_index in range(spec.samples)
-            ]
+            plans = sample_plans(spec.seed, spec.samples, golden.fault_sites)
             index = len(units)
             uid_map = {instr.uid: ordinal for ordinal, instr
                        in enumerate(program.instructions())}
@@ -303,9 +298,9 @@ def execute_shard(
     boundary with bit-identical records, so segments, merges and the
     summary stay byte-stable with the flag on or off.
     """
-    results = _checkpointed_asm_results(
-        unit.program, plans, unit.golden, "main", (),
-        checkpoint_interval, telemetry=True,
+    (results,), _, _ = execute_plans(
+        unit.program, unit.golden, [(None, plans)],
+        checkpoint_interval=checkpoint_interval, telemetry=True,
         trail=unit.trail,
     )
     results.sort(key=lambda pair: pair[0])

@@ -5,7 +5,7 @@ function/loop-nest sections, runs per-section sub-campaigns off shared
 prefix snapshots, and composes the results. For any fixed seed the
 composed campaign must be bit-identical to the flat ``run_campaign`` —
 counts, per-origin maps, telemetry records and JSONL bytes — across
-campaign engines, machine engines, ``prune`` and ``processes``. The
+machine engines, ``prune``, ``checkpoint_interval`` and ``processes``. The
 on-disk section cache must serve warm reruns without executing a single
 injection and invalidate exactly the sections whose code changed.
 """
@@ -83,11 +83,6 @@ class TestComposedBitIdentity:
         assert_campaigns_identical(composed, flat[name],
                                    context=f"{name}/{machine_engine}")
 
-    @pytest.mark.parametrize("engine", ("checkpoint", "replay"))
-    def test_campaign_engines_identical(self, built, flat, engine):
-        composed = run_composed(built["knn"], engine=engine)
-        assert_campaigns_identical(composed, flat["knn"], context=engine)
-
     @pytest.mark.parametrize("name", ("knn", "pathfinder"))
     def test_prune_identical(self, built, flat, name):
         composed = run_composed(built[name], prune=True)
@@ -97,11 +92,21 @@ class TestComposedBitIdentity:
     @pytest.mark.parametrize("kwargs", (
         dict(processes=3),
         dict(processes=3, prune=True),
-        dict(processes=3, engine="replay"),
     ))
     def test_parallel_identical(self, built, flat, kwargs):
         composed = run_composed(built["knn"], **kwargs)
         assert_campaigns_identical(composed, flat["knn"])
+
+    @pytest.mark.parametrize("name", ("bfs", "knn"))
+    @pytest.mark.parametrize("processes", (1, 3))
+    def test_checkpoint_interval_identical(self, built, flat, name,
+                                           processes):
+        """Interval checkpoints never fall before a section's entry
+        cursor: a multiple of K below the entry is clamped up to it."""
+        composed = run_composed(built[name], checkpoint_interval=64,
+                                processes=processes)
+        assert_campaigns_identical(composed, flat[name],
+                                   context=f"{name}/processes={processes}")
 
     def test_jsonl_byte_identical(self, built, tmp_path):
         flat_path = tmp_path / "flat.jsonl"

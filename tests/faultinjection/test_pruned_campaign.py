@@ -76,9 +76,8 @@ class TestPrunedBitIdentity:
         assert_origin_maps_identical(pruned.records, plain.records)
 
     def test_jsonl_content_identical(self, built, tmp_path):
-        """The pruned campaign's JSONL sink must contain exactly the same
-        records (run-index order; the unpruned checkpoint engine streams in
-        site order, so compare as sorted line sets)."""
+        """The pruned campaign's JSONL sink must be byte-identical to the
+        unpruned one: every campaign writes in run-index order."""
         program = built["bfs"]["ferrum"]
         plain_path = tmp_path / "plain.jsonl"
         pruned_path = tmp_path / "pruned.jsonl"
@@ -86,7 +85,7 @@ class TestPrunedBitIdentity:
                      jsonl_path=plain_path)
         run_campaign(program, samples=SAMPLES, seed=SEED, telemetry=True,
                      jsonl_path=pruned_path, prune=True)
-        assert_jsonl_identical(pruned_path, plain_path, ordered=False)
+        assert_jsonl_identical(pruned_path, plain_path)
         # and the pruned file is complete: one record per sample
         pruned_lines = pruned_path.read_text().splitlines()
         assert len(pruned_lines) == SAMPLES
