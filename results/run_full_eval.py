@@ -1,5 +1,14 @@
-"""Full evaluation run: all figures/tables, saved to results/."""
-import json, time, sys
+"""Full evaluation run: all figures/tables, saved next to this script.
+
+Usage: ``PYTHONPATH=src python results/run_full_eval.py [SAMPLES]``
+(default 100 faults per campaign). Writes ``full_eval.txt`` (rendered
+tables) and ``full_eval.json`` (summary numbers plus per-experiment wall
+seconds under ``wall_seconds``).
+"""
+import json
+import sys
+import time
+from pathlib import Path
 
 from repro.evaluation import (
     run_fig10, run_fig11, run_transform_time, run_crosslayer_gap,
@@ -7,38 +16,52 @@ from repro.evaluation import (
     render_table1, render_table2,
 )
 from repro.evaluation.report import render_fig10_outcomes
-from repro.faultinjection.outcome import Outcome
 
 SAMPLES = int(sys.argv[1]) if len(sys.argv) > 1 else 100
+OUT_DIR = Path(__file__).resolve().parent
 
 out = []
+wall = {}
 t0 = time.time()
+mark = t0
+
+
+def done(stage):
+    """Record ``stage``'s wall seconds since the previous stage ended."""
+    global mark
+    now = time.time()
+    wall[stage] = now - mark
+    mark = now
+    print(f"[{now - t0:6.0f}s] {stage} done", flush=True)
+
+
 out.append(render_table1()); out.append("")
 out.append(render_table2()); out.append("")
-print(f"[{time.time()-t0:6.0f}s] tables done", flush=True)
+done("tables")
 
 fig11 = run_fig11()
 out.append(render_fig11(fig11)); out.append("")
-print(f"[{time.time()-t0:6.0f}s] fig11 done", flush=True)
+done("fig11")
 
 tt = run_transform_time()
 out.append(render_transform_time(tt)); out.append("")
-print(f"[{time.time()-t0:6.0f}s] transform-time done", flush=True)
+done("transform_time")
 
 fig10 = run_fig10(samples=SAMPLES)
 out.append(render_fig10(fig10)); out.append("")
 out.append(render_fig10_outcomes(fig10)); out.append("")
-print(f"[{time.time()-t0:6.0f}s] fig10 done", flush=True)
+done("fig10")
 
 gap = run_crosslayer_gap(samples=SAMPLES)
 out.append(render_gap(gap)); out.append("")
-print(f"[{time.time()-t0:6.0f}s] gap done", flush=True)
+done("gap")
+wall["total"] = time.time() - t0
 
-with open("/root/repo/results/full_eval.txt", "w") as f:
-    f.write("\n".join(out))
+(OUT_DIR / "full_eval.txt").write_text("\n".join(out))
 
 summary = {
     "samples": SAMPLES,
+    "wall_seconds": {stage: round(seconds, 2) for stage, seconds in wall.items()},
     "fig11_avg": {t: fig11.average_overhead(t) for t in ("ir-eddi","hybrid","ferrum")},
     "fig10_avg": {t: fig10.average_coverage(t) for t in ("ir-eddi","hybrid","ferrum")},
     "fig10_rows": [
@@ -51,6 +74,6 @@ summary = {
     "gap_rows": gap.rows,
     "transform_ms": [dict(r, seconds=float(r["seconds"])) for r in tt.rows],
 }
-with open("/root/repo/results/full_eval.json", "w") as f:
+with open(OUT_DIR / "full_eval.json", "w") as f:
     json.dump(summary, f, indent=2, default=str)
-print("ALL DONE", time.time()-t0, flush=True)
+print("ALL DONE", wall["total"], flush=True)

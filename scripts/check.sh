@@ -52,6 +52,14 @@ echo "== convergence early-exit (trail determinism + bit-identity) =="
 PYTHONPATH=src python -m pytest tests/machine/test_converge.py \
     tests/faultinjection/test_converge_campaign.py -q || status=$?
 
+echo "== timing model (pinned cycles + oracle + Fig. 11) =="
+# Mirrors the CI tests-timing job: exact bfs/knn cycle counts, the
+# pre-resolved model against the per-call oracle, repeat-run determinism,
+# and run_fig11; surfaced explicitly even though all of
+# them are also part of tier-1.
+PYTHONPATH=src python -m pytest tests/machine/test_timing*.py \
+    "tests/evaluation/test_experiments.py::TestFig11" -q || status=$?
+
 echo "== dme detector gate (marker dme + service CLI smoke) =="
 # Mirrors the CI tests-dme job: the dme-marked suites (decorrelation
 # properties, campaign parity, the backend-site coverage gate) and an

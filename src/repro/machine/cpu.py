@@ -54,9 +54,6 @@ ENGINES = ("translated", "fused", "reference")
 #: is not passed explicitly; see ``docs/performance.md``).
 ENGINE_ENV_VAR = "FERRUM_ENGINE"
 
-#: Shared empty granule list for instructions with no memory traffic.
-_NO_GRANULES: list[int] = []
-
 _RSP = get_register("rsp")
 _RAX = get_register("rax")
 _EAX = get_register("eax")
@@ -557,6 +554,14 @@ class Machine:
         is_site = self._is_site
         collect_mem = self._collect_mem
         code_len = len(code)
+        mem_reads = self._mem_reads
+        mem_writes = self._mem_writes
+        if timer is not None:
+            # Static timing facts, resolved once per pc for this run.
+            account = timer.account
+            timing_table = [timer.resolve(instr) for instr in code]
+        else:
+            account = None
 
         try:
             while not self._exit_requested:
@@ -570,27 +575,14 @@ class Machine:
                     )
                 instr = code[pc]
                 if collect_mem:
-                    self._mem_reads.clear()
-                    self._mem_writes.clear()
+                    mem_reads.clear()
+                    mem_writes.clear()
                 effect = handlers[pc](self, instr)
                 executed += 1
 
-                if timer is not None:
-                    # Skip list construction for the (dominant) instructions
-                    # with no memory traffic.
-                    if self._mem_reads:
-                        reads: list[int] = []
-                        for addr, size in self._mem_reads:
-                            reads.extend(TimingModel.granules(addr, size))
-                    else:
-                        reads = _NO_GRANULES
-                    if self._mem_writes:
-                        writes: list[int] = []
-                        for addr, size in self._mem_writes:
-                            writes.extend(TimingModel.granules(addr, size))
-                    else:
-                        writes = _NO_GRANULES
-                    timer.observe(instr, reads, writes, effect.taken)
+                if account is not None:
+                    account(timing_table[pc], mem_reads, mem_writes,
+                            effect.taken)
 
                 if is_site[pc]:
                     if fault_hook is not None and (fault_at < 0 or sites == fault_at):

@@ -31,7 +31,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.asm.instructions import Instruction, InstrKind
-from repro.asm.operands import Mem, Reg
+from repro.asm.operands import Reg
 from repro.asm.registers import RegisterKind
 
 
@@ -127,74 +127,160 @@ def latency_of(instr: Instruction, config: TimingConfig) -> int:
     return config.latency_alu
 
 
+#: Pre-resolved static timing facts of one instruction (see
+#: :meth:`TimingModel.resolve`): source register roots, destination register
+#: roots, the model's unit list for the instruction's port, and its latency.
+Resolved = tuple[tuple[str, ...], tuple[str, ...], list[int], int]
+
+
+def _granule_range(addr: int, size: int) -> range:
+    """8-byte dependence granules covering [addr, addr+size); a 0-byte
+    access still touches the granule holding ``addr``."""
+    return range(addr >> 3, ((addr + max(size, 1) - 1) >> 3) + 1)
+
+
+#: Kinds that move the stack pointer implicitly.
+_STACK_KINDS = (InstrKind.PUSH, InstrKind.POP, InstrKind.CALL, InstrKind.RET)
+
+
 class TimingModel:
-    """Online model: feed instructions in trace order, read ``cycles``."""
+    """Online model: feed instructions in trace order, read ``cycles``.
+
+    Everything static about an instruction is derived once by
+    :meth:`resolve`; :meth:`account` then charges one dynamic execution
+    from that entry and the instruction's raw memory accesses. A
+    :class:`~repro.machine.cpu.Machine` resolves its code once per timed
+    run, against that run's model.
+    """
 
     def __init__(self, config: TimingConfig | None = None) -> None:
-        self.config = config or TimingConfig()
+        self.config = config = config or TimingConfig()
+        self._rob_size = config.rob_size
+        self._fetch_width = config.fetch_width
+        self._redirect_delay = 1 + config.taken_branch_penalty
+        self._port_free: dict[Port, list[int]] = {
+            port: [0] * count for port, count in config.ports.items()
+        }
         self._reg_ready: dict[str, int] = {}
         self._mem_ready: dict[int, int] = {}
-        self._port_free: dict[Port, list[int]] = {
-            port: [0] * count for port, count in self.config.ports.items()
-        }
         self._fetch_cycle = 0
         self._fetched_this_cycle = 0
-        self._retire: list[int] = [0] * self.config.rob_size
+        self._retire: list[int] = [0] * self._rob_size
         self._last_retire = 0
         self.cycles = 0
         self.instructions = 0
 
-    # -- internals -----------------------------------------------------------
+    def resolve(self, instr: Instruction) -> Resolved:
+        """The static timing facts of ``instr`` under this model's config.
 
-    def _fetch_slot(self) -> int:
-        """Cycle this instruction enters the window.
-
-        Bounded by fetch bandwidth and by reorder-buffer capacity: the
-        instruction ``rob_size`` positions older must have retired. This is
-        what makes sheer instruction volume cost real time — redundant
-        work is only free while it fits in the window.
+        Sources are the explicit register reads plus address registers,
+        with ``rflags`` only for non-branch flag readers (``set<cc>``
+        waits for its flags producer; ``j<cc>`` is predicted and does
+        not). Destinations add ``rflags`` for flag writers and ``rsp``
+        for the implicit stack moves of push/pop/call/ret.
         """
-        oldest = self._retire[self.instructions % self.config.rob_size]
-        if oldest > self._fetch_cycle:
-            self._fetch_cycle = oldest
-            self._fetched_this_cycle = 0
-        slot = self._fetch_cycle
-        self._fetched_this_cycle += 1
-        if self._fetched_this_cycle >= self.config.fetch_width:
-            self._fetch_cycle += 1
-            self._fetched_this_cycle = 0
-        return slot
-
-    def _redirect_fetch(self, cycle: int) -> None:
-        if cycle > self._fetch_cycle:
-            self._fetch_cycle = cycle
-            self._fetched_this_cycle = 0
-
-    def _sources_ready(self, instr: Instruction, read_granules: list[int]) -> int:
-        ready = 0
-        for reg in instr.read_registers():
-            if reg.root != "rflags":
-                ready = max(ready, self._reg_ready.get(reg.root, 0))
-        for op in instr.operands:
-            if isinstance(op, Mem):
-                for reg in op.registers():
-                    ready = max(ready, self._reg_ready.get(reg.root, 0))
-        for granule in read_granules:
-            ready = max(ready, self._mem_ready.get(granule, 0))
-        # Non-branch flag readers (set<cc>) wait for the flags producer;
-        # branches are predicted and do not wait.
-        if instr.spec.reads_flags and instr.kind is not InstrKind.JCC:
-            ready = max(ready, self._reg_ready.get("rflags", 0))
-        return ready
-
-    def _claim_port(self, port: Port, earliest: int) -> int:
-        units = self._port_free[port]
-        best = min(range(len(units)), key=lambda i: max(units[i], earliest))
-        cycle = max(units[best], earliest)
-        units[best] = cycle + 1
-        return cycle
+        kind = instr.kind
+        # read_registers() already includes every address register.
+        sources = {reg.root for reg in instr.read_registers()}
+        sources.discard("rflags")
+        if instr.spec.reads_flags and kind is not InstrKind.JCC:
+            sources.add("rflags")
+        dests = {reg.root for reg in instr.dest_registers()}
+        if instr.spec.writes_flags:
+            dests.add("rflags")
+        if kind in _STACK_KINDS:
+            dests.add("rsp")
+        return (
+            tuple(sorted(sources)),
+            tuple(sorted(dests)),
+            self._port_free[port_of(instr)],
+            latency_of(instr, self.config),
+        )
 
     # -- main entry ----------------------------------------------------------
+
+    def account(
+        self,
+        entry: Resolved,
+        reads: list[tuple[int, int]],
+        writes: list[tuple[int, int]],
+        taken: bool,
+    ) -> None:
+        """Account one dynamic execution of a resolved instruction.
+
+        ``reads``/``writes`` are the raw ``(addr, size)`` memory accesses;
+        dependences are tracked on the 8-byte granules they cover.
+
+        The instruction enters the window at its fetch slot, bounded by
+        fetch bandwidth and by reorder-buffer capacity: the instruction
+        ``rob_size`` positions older must have retired. This is what makes
+        sheer instruction volume cost real time — redundant work is only
+        free while it fits in the window. It issues on the first unit of
+        its port that is free once its sources are ready.
+        """
+        sources, dests, units, latency = entry
+
+        # Fetch slot.
+        slot_index = self.instructions % self._rob_size
+        retire = self._retire
+        fetch = self._fetch_cycle
+        oldest = retire[slot_index]
+        if oldest > fetch:
+            fetch = oldest
+            fetched = 1
+        else:
+            fetched = self._fetched_this_cycle + 1
+        earliest = fetch
+        if fetched >= self._fetch_width:
+            fetch += 1
+            fetched = 0
+
+        # Sources ready.
+        reg_ready = self._reg_ready
+        for root in sources:
+            ready = reg_ready.get(root, 0)
+            if ready > earliest:
+                earliest = ready
+        mem_ready = self._mem_ready
+        for addr, size in reads:
+            for granule in _granule_range(addr, size):
+                ready = mem_ready.get(granule, 0)
+                if ready > earliest:
+                    earliest = ready
+
+        # Port claim: the first unit free by ``earliest``, else the first
+        # unit to free up.
+        for index, free in enumerate(units):
+            if free <= earliest:
+                issue = earliest
+                break
+        else:
+            issue = min(units)
+            index = units.index(issue)
+        units[index] = issue + 1
+        done = issue + latency
+
+        for root in dests:
+            reg_ready[root] = done
+        for addr, size in writes:
+            for granule in _granule_range(addr, size):
+                mem_ready[granule] = done
+        if taken:
+            redirect = issue + self._redirect_delay
+            if redirect > fetch:
+                fetch = redirect
+                fetched = 0
+        self._fetch_cycle = fetch
+        self._fetched_this_cycle = fetched
+
+        # In-order retirement: an instruction retires no earlier than its
+        # completion and no earlier than its program-order predecessor.
+        retired = done if done > self._last_retire else self._last_retire
+        self._last_retire = retired
+        retire[slot_index] = retired
+        self.instructions += 1
+        if done > self.cycles:
+            self.cycles = done
 
     def observe(
         self,
@@ -203,38 +289,16 @@ class TimingModel:
         write_granules: list[int],
         taken: bool,
     ) -> None:
-        """Account one dynamically executed instruction."""
-        fetch = self._fetch_slot()
-        ready = self._sources_ready(instr, read_granules)
-        issue = self._claim_port(port_of(instr), max(fetch, ready))
-        latency = latency_of(instr, self.config)
-        done = issue + latency
-
-        for reg in instr.dest_registers():
-            self._reg_ready[reg.root] = done
-        if instr.spec.writes_flags:
-            self._reg_ready["rflags"] = done
-        for granule in write_granules:
-            self._mem_ready[granule] = done
-        if instr.kind in (
-            InstrKind.PUSH, InstrKind.POP, InstrKind.CALL, InstrKind.RET,
-        ):
-            self._reg_ready["rsp"] = done
-        if taken:
-            self._redirect_fetch(issue + 1 + self.config.taken_branch_penalty)
-
-        # In-order retirement: an instruction retires no earlier than its
-        # completion and no earlier than its program-order predecessor.
-        retired = max(done, self._last_retire)
-        self._last_retire = retired
-        self._retire[self.instructions % self.config.rob_size] = retired
-        self.instructions += 1
-        if done > self.cycles:
-            self.cycles = done
+        """Account one dynamically executed instruction, given the 8-byte
+        granules it reads and writes (unit-test entry point)."""
+        self.account(
+            self.resolve(instr),
+            [(granule << 3, 8) for granule in read_granules],
+            [(granule << 3, 8) for granule in write_granules],
+            taken,
+        )
 
     @staticmethod
     def granules(addr: int, size: int) -> list[int]:
         """8-byte dependence granules covering [addr, addr+size)."""
-        first = addr >> 3
-        last = (addr + max(size, 1) - 1) >> 3
-        return list(range(first, last + 1))
+        return list(_granule_range(addr, size))

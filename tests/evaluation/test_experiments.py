@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.evaluation import experiments
 from repro.evaluation.experiments import (
     TECHNIQUES,
     run_crosslayer_gap,
@@ -11,6 +12,10 @@ from repro.evaluation.experiments import (
     table1,
     table2,
 )
+from repro.evaluation.metrics import runtime_overhead
+from repro.machine.cpu import Machine
+
+from tests.machine.test_timing_pinned import PINNED
 
 
 class TestTables:
@@ -53,6 +58,30 @@ class TestFig11:
         for technique in TECHNIQUES:
             assert result.average_overhead(technique) == \
                 pytest.approx(result.rows[0][technique])
+
+    def test_row_matches_pinned_cycles(self, result):
+        """The row is the pinned cycle counts' overheads, exactly."""
+        (row,) = result.rows
+        raw = PINNED[("bfs", "raw")][0]
+        assert row["raw_cycles"] == raw
+        for technique in TECHNIQUES:
+            assert row[technique] == runtime_overhead(
+                PINNED[("bfs", technique)][0], raw)
+
+    def test_times_each_reported_variant_once(self, monkeypatch):
+        timed = []
+
+        class CountingMachine(Machine):
+            def run(self, *args, **kwargs):
+                if kwargs.get("timing") is not None:
+                    timed.append(self.program)
+                return super().run(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "Machine", CountingMachine)
+        experiments.run_fig11(workloads=("bfs",))
+        assert len(timed) == 1 + len(TECHNIQUES)
+        assert len({id(program) for program in timed}) == len(timed)
+        assert not any(getattr(p, "detector", None) for p in timed)
 
 
 class TestTransformTime:
