@@ -30,10 +30,11 @@ git ls-files 'src/*.py' | xargs cat | wc -l
 echo "== tier-1 tests (perf marker deselected) =="
 PYTHONPATH=src python -m pytest tests -q -m "not perf" || status=$?
 
-echo "== tier-1 tests (fused execution engine) =="
-# The superblock-fused engine must be invisible to the whole suite
+echo "== tier-1 tests (translated execution engine) =="
+# The single-step layer alone (no superblocks; the run above already uses
+# the fused default) must be invisible to the whole suite too
 # (bit-identity contract; see docs/performance.md).
-FERRUM_ENGINE=fused PYTHONPATH=src python -m pytest tests -q -m "not perf" \
+FERRUM_ENGINE=translated PYTHONPATH=src python -m pytest tests -q -m "not perf" \
     || status=$?
 
 echo "== campaign parity (composed vs flat, one JSONL order) =="

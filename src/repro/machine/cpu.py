@@ -45,9 +45,11 @@ from repro.utils.bitops import to_signed
 #: Return-address sentinel marking the bottom of the call stack.
 _SENTINEL = (1 << 64) - 1
 
-#: Supported execution engines: the pre-translated threaded-code engine, the
-#: superblock-fusing engine layered on top of it, and the reference
-#: interpreter kept as the semantic oracle.
+#: Supported execution engines: the compiled per-instruction steps alone
+#: (threaded code), the same steps plus fused superblocks (the default),
+#: and the reference interpreter kept as the semantic oracle. Both compiled
+#: engines come from one statement generator and run on one loop
+#: (:mod:`repro.machine.translate`).
 ENGINES = ("translated", "fused", "reference")
 
 #: Environment variable overriding the default engine (used when ``engine``
@@ -121,9 +123,10 @@ class Machine:
     ) -> None:
         """Load ``program`` and pick an execution engine.
 
-        ``engine`` selects ``"translated"`` (pre-compiled threaded code, the
-        default), ``"fused"`` (superblocks compiled over the threaded code,
-        with dead-flag elision; see ``docs/performance.md``) or
+        ``engine`` selects ``"fused"`` (the default: compiled
+        per-instruction steps plus superblocks with dead-flag elision; see
+        ``docs/performance.md``), ``"translated"`` (the same compiled steps
+        with no superblocks, single-stepping every instruction) or
         ``"reference"`` (the per-instruction handler interpreter, kept as
         the semantic oracle). When not passed explicitly, the
         ``FERRUM_ENGINE`` environment variable is honored. All engines are
@@ -136,7 +139,7 @@ class Machine:
         self.layout = layout or MemoryLayout()
         self.max_instructions = max_instructions
         if engine is None:
-            engine = os.environ.get(ENGINE_ENV_VAR, "").strip() or "translated"
+            engine = os.environ.get(ENGINE_ENV_VAR, "").strip() or "fused"
         if engine not in ENGINES:
             raise EngineConfigError(
                 f"unknown execution engine {engine!r} "
@@ -179,10 +182,9 @@ class Machine:
                     self._call_builtin_fn[pc] = get_builtin(target)
                 else:
                     self._call_entry_pc[pc] = self._entry[target]
-        # Threaded code, built lazily on the first translated-engine run;
-        # fused superblocks likewise on the first fused-engine run.
-        self._translation = None
-        self._fused = None
+        # Compiled code (with superblocks on the fused engine), built
+        # lazily on the first compiled-engine run.
+        self._compiled = None
 
         # Mutable per-run state, initialized by _reset().
         self.registers = RegisterFile()
@@ -195,9 +197,9 @@ class Machine:
         self._mem_reads: list[tuple[int, int]] = []
         self._mem_writes: list[tuple[int, int]] = []
         self._collect_mem = False
-        # Set by translated call/ret steps around work the reference engine
+        # Set by compiled call/ret steps around work the reference engine
         # performs after counting the instruction as executed; on a fault,
-        # the translated run loop uses it to keep halt counters identical.
+        # the compiled run loop uses it to keep halt counters identical.
         self._post_exec = False
         # Telemetry bookkeeping (see repro.faultinjection.telemetry):
         # executed count at the most recent fault-hook delivery, and at the
@@ -224,7 +226,7 @@ class Machine:
     # -- execution -----------------------------------------------------------
 
     def _reset(self) -> None:
-        # In place: the translated engine's compiled steps capture the
+        # In place: the compiled engines' generated code captures the
         # register-file dicts and memory object at translation time, so
         # their identity must survive across runs.
         self.registers.reset()
@@ -407,7 +409,7 @@ class Machine:
     ) -> tuple[int, int, int, bool]:
         """One dispatch onto the selected engine, with snapshot bookkeeping.
 
-        Generated translated/fused steps write the register dicts and
+        Generated steps and superblocks write the register dicts and
         ``rflags`` directly, bypassing :meth:`RegisterFile.write` — so the
         copy-on-write snapshot cache is invalidated once per leg: whenever
         the leg advanced ``executed`` (a leg that executed nothing wrote
@@ -416,13 +418,8 @@ class Machine:
         loop, which observes per-access memory traffic.
         """
         try:
-            if self.engine == "translated" and timer is None:
-                out = self._run_translated(
-                    pc, executed, sites, budget, fault_hook, fault_at,
-                    stop_at_site,
-                )
-            elif self.engine == "fused" and timer is None:
-                out = self._run_fused(
+            if self.engine != "reference" and timer is None:
+                out = self._run_compiled(
                     pc, executed, sites, budget, fault_hook, fault_at,
                     stop_at_site,
                 )
@@ -490,7 +487,7 @@ class Machine:
             cycles=None,
         )
 
-    def _run_translated(
+    def _run_compiled(
         self,
         pc: int,
         executed: int,
@@ -500,34 +497,20 @@ class Machine:
         fault_at: int,
         stop_at_site: int | None,
     ) -> tuple[int, int, int, bool]:
-        """Execute on the threaded-code engine (translating on first use)."""
-        from repro.machine.translate import execute_translated, translate_program
-
-        if self._translation is None:
-            self._translation = translate_program(self)
-        return execute_translated(
-            self, self._translation, pc, executed, sites, budget,
-            fault_hook, fault_at, stop_at_site,
+        """Execute on the compiled code (compiling on first use): single
+        steps alone for ``"translated"``, plus superblocks for ``"fused"``."""
+        from repro.machine.translate import (
+            execute_fused,
+            translate_fused,
+            translate_program,
         )
 
-    def _run_fused(
-        self,
-        pc: int,
-        executed: int,
-        sites: int,
-        budget: int,
-        fault_hook: FaultHook | None,
-        fault_at: int,
-        stop_at_site: int | None,
-    ) -> tuple[int, int, int, bool]:
-        """Execute on the superblock-fused engine (fusing on first use)."""
-        from repro.machine.translate import execute_fused, translate_fused
-
-        if self._fused is None:
-            self._fused = translate_fused(self)
-            self._translation = self._fused.base
+        if self._compiled is None:
+            translate = (translate_fused if self.engine == "fused"
+                         else translate_program)
+            self._compiled = translate(self)
         return execute_fused(
-            self, self._fused, pc, executed, sites, budget,
+            self, self._compiled, pc, executed, sites, budget,
             fault_hook, fault_at, stop_at_site,
         )
 

@@ -161,9 +161,9 @@ class Memory:
 
         Only pages actually written are cleared, so resetting between runs
         is O(working set) rather than O(address space). The segment
-        bytearrays keep their identity — the translated execution engine
-        captures this object (and its bound read/write methods) once at
-        translation time.
+        bytearrays keep their identity — the compiled execution engines
+        capture this object (its bound read/write methods and each
+        segment's storage) once at translation time.
         """
         for seg in self._segments:
             seg.reset()
@@ -174,8 +174,8 @@ class Memory:
         """Start tracking pages written from this instant.
 
         Each segment's dirty set is saved aside and cleared *in place* (the
-        fused engine captures ``dirty.add`` as a bound method at translation
-        time, so the set object must keep its identity). Until
+        compiled engines capture ``dirty.add`` as a bound method at
+        translation time, so the set object must keep its identity). Until
         :meth:`end_write_watch` the live dirty sets contain exactly the
         pages written since this call — the memory half of a faulted run's
         divergence cone (see :mod:`repro.machine.converge`).

@@ -1,4 +1,4 @@
-"""Pre-translated threaded-code execution engine.
+"""Compiled execution engines: per-instruction steps and fused superblocks.
 
 The reference interpreter (:meth:`repro.machine.cpu.Machine._execute_from`
 plus :mod:`repro.machine.semantics`) re-resolves every operand through
@@ -6,52 +6,52 @@ isinstance chains and name-based register lookups, allocates control-effect
 objects for branches, and repacks flag tuples on every arithmetic
 instruction. FERRUM's own thesis — specialize at translation time, pay
 nothing at run time — applies to the simulator itself: this module compiles
-each :class:`~repro.asm.instructions.Instruction` *once* into a specialized
-zero-argument closure ("threaded code"):
+the program *once* into ``exec``-compiled Python.
+
+One statement generator, :func:`_fuse_instr_lines`, renders the semantics of
+every straight-line instruction as Python statements:
 
 * register operands are resolved to direct slots in the register-file
   backing dict, with sub-register masks folded into the generated code;
-* immediates are masked at translation time;
+* immediates, masks and sign bits are folded as literals;
 * memory-operand effective-address arithmetic is pre-bound (displacement
-  folded, base/index roots captured);
-* jump/call/fall-through targets are integer pc constants — a taken branch
-  is ``return 17``, not a dict lookup;
+  folded, base/index roots captured), and each access is inlined as a
+  bounds check against a statically guessed segment plus a struct codec
+  over its backing bytes, falling back to the memory accessor on a miss;
 * flag computation is specialized per opcode and width, with a precomputed
-  parity table;
-* no per-instruction ``ControlEffect`` allocation: each step returns the
-  next pc directly (negative sentinels encode halt / fell-off-code).
+  parity table, and can be elided where the flags are provably dead.
 
-The hot instruction kinds go through a small source-level code generator:
-one operand/opcode *shape* maps to one cached ``make`` function (built with
-:func:`compile`/``exec`` the first time the shape appears), and the
-per-instruction constants — register roots, immediates, displacements, pc
-targets — are bound as closure cells. A generated step therefore runs with
-no nested Python calls beyond the unavoidable memory accessors.
+Two layers are built from those statements, both driven by one run loop,
+:func:`execute_fused`:
+
+* :func:`translate_program` compiles each instruction on its own into a
+  zero-argument step ("threaded code") that computes every flag and
+  returns the next pc — jump/call/fall-through targets are integer
+  constants and negative sentinels encode halt / fell-off-code. This is
+  the ``"translated"`` engine, and the single-stepping layer of the fused
+  one.
+* :func:`translate_fused` additionally concatenates the statements of
+  whole basic blocks into single superblock bodies, with dead-flag
+  elision; the run loop takes a superblock only where no fault site, stop
+  target or budget boundary must be observed inside it (the ``"fused"``
+  engine).
+
+Control flow, ``idiv`` and instructions whose operand shapes fall outside
+the generator (vector ops, deliberately malformed operands) compile to
+closure steps; the last of these wraps the reference handler, so the
+engines can never diverge semantically.
 
 Bit-identity contract: for any program, input, fault plan, snapshot or
-budget, the translated engine produces exactly the same ``RunResult``,
+budget, the compiled engines produce exactly the same ``RunResult``,
 fault-site numbering, ``executed``/``sites`` counters, exception type and
 halt-counter stamps as the reference engine — including the *order* of
 operand reads, register updates and faulting accesses within one
-instruction. Instructions whose operand shapes fall outside the specialized
-fast paths (vector ops, deliberately malformed operands) fall back to a
-step that wraps the reference handler, so the two engines can never diverge
-semantically.
+instruction. See the fusion section below and ``docs/performance.md``.
 
-Closures capture the machine's register-file dict and memory accessors
-directly; :class:`~repro.machine.state.RegisterFile` and
-:class:`~repro.machine.memory.Memory` guarantee those objects are
+Generated code captures the machine's register-file dict, memory accessors
+and segment storage directly; :class:`~repro.machine.state.RegisterFile`
+and :class:`~repro.machine.memory.Memory` guarantee those objects are
 identity-stable across resets and snapshot restores.
-
-A second, faster layer builds on the per-instruction translation:
-:func:`translate_fused`/:func:`execute_fused` concatenate the generated
-statement lists of whole basic blocks into single ``exec``-compiled
-superblock bodies — flag computation elided where a block-local liveness
-pass proves the bits dead, memory accesses inlined through a
-segment-guessing fast path — while keeping the per-instruction steps as
-the single-stepping fallback wherever a fault site, stop target or budget
-boundary must be observed mid-block. The same bit-identity contract
-applies; see the fusion section below and ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -60,6 +60,12 @@ import struct as _struct
 from typing import TYPE_CHECKING, Callable
 
 from repro.asm.instructions import InstrKind
+from repro.asm.liveness import (
+    ALL_FLAG_BITS,
+    _shift_count,
+    flag_bits_read,
+    flag_bits_written,
+)
 from repro.asm.operands import Imm, Mem, Operand, Reg
 from repro.asm.registers import Register, RegisterKind
 from repro.errors import (
@@ -102,17 +108,6 @@ _PARITY = tuple(
 Step = Callable[[], int]
 
 
-class TranslatedCode:
-    """The compiled program: one step closure per code index."""
-
-    __slots__ = ("steps", "site_flags", "code_len")
-
-    def __init__(self, steps: list[Step], site_flags: list[int]) -> None:
-        self.steps = steps
-        self.site_flags = site_flags
-        self.code_len = len(steps)
-
-
 # -- code generation core ----------------------------------------------------
 
 #: Globals visible to generated steps (flag constants, parity table,
@@ -127,8 +122,8 @@ _EXEC_GLOBALS = {
     "_CZ": _CZ,
     "_CFOF": _CFOF,
     "_M64": _M64,
-    # Little-endian fixed-width codecs for the fused engine's inlined
-    # memory fast path (one C call instead of segment lookup + slicing).
+    # Little-endian fixed-width codecs for the inlined memory fast path
+    # (one C call instead of segment lookup + slicing).
     "_U1": _struct.Struct("<B").unpack_from,
     "_U2": _struct.Struct("<H").unpack_from,
     "_U4": _struct.Struct("<I").unpack_from,
@@ -147,11 +142,12 @@ def _build_step(body: list[str], env: dict) -> Step:
     """Compile ``body`` lines into a step, binding ``env`` as closure cells.
 
     The rendered source depends only on the instruction *shape* (operand
-    kinds, widths, opcode), so the compile cost is amortized across every
-    instruction sharing that shape; per-instruction values (register roots,
-    immediates, displacements, pc targets) and the machine's live state
-    objects flow in through ``env`` and become closure cells — the fastest
-    variable access a generated step can have.
+    kinds, widths, opcode and the masks folded as literals), so the compile
+    cost is amortized across every instruction sharing that shape;
+    per-instruction values (register roots, immediates, displacements, pc
+    targets) and the machine's live state objects flow in through ``env``
+    and become closure cells — the fastest variable access a generated step
+    can have.
     """
     lines = ["def make(env):"]
     for key in sorted(env):
@@ -205,7 +201,7 @@ def _read_frag(op: Operand, width: int, idx: int, env: dict) -> str | None:
     Register operands read at *register* width (the reference rule); the
     produced value is bounded by ``max(width, reg.width)`` bits. Callers
     that need the value bounded to ``width`` must reject wider register
-    operands (see :func:`_read_bounded` and the factories' guards).
+    operands (see :func:`_read_bounded` and the generator's guards).
     """
     if isinstance(op, Imm):
         env[f"A{idx}"] = op.value & mask_for_width(width)
@@ -238,9 +234,10 @@ def _read_bounded(op: Operand, width: int, idx: int, env: dict) -> str | None:
 def _write_frag(
     op: Operand, width: int, idx: int, env: dict
 ) -> Callable[[str], str] | None:
-    """Statement builder matching ``semantics._write_operand``.
+    """Register-store builder matching ``semantics._write_operand``.
 
     The value expression passed in must be bounded to ``width`` bits.
+    Memory destinations are emitted by :func:`_fwrite`.
     """
     if isinstance(op, Reg):
         reg = op.register
@@ -259,12 +256,6 @@ def _write_frag(
             env[f"WM{idx}"] = mask_for_width(rw)
             return lambda v: f"g[R{idx}] = (g[R{idx}] & K{idx}) | (({v}) & WM{idx})"
         return lambda v: f"g[R{idx}] = (g[R{idx}] & K{idx}) | ({v})"
-    if isinstance(op, Mem):
-        addr = _addr_frag(op, idx, env)
-        if addr is None:
-            return None
-        env[f"N{idx}"] = width // 8
-        return lambda v: f"wr({addr}, {v}, N{idx})"
     return None
 
 
@@ -286,72 +277,32 @@ _CC_EXPR = {
 }
 
 
-def _zf_sf_pf_lines(result_var: str = "r", sgn: str = "SGN") -> list[str]:
-    """The ZF/SF/PF epilogue shared by every flag-writing template.
+def _zf_sf_pf_lines(sgn: str) -> list[str]:
+    """The ZF/SF/PF epilogue over ``r`` shared by every flag-writing template.
 
-    One fragment serves both emitters: the per-instruction step factories
-    bind the sign-bit constant as the ``SGN`` closure cell, while the
-    superblock fusion emitter passes it as a hex literal (``sgn``) so one
-    fused body can mix widths without closure-cell name collisions.
+    The sign bit comes in as a hex literal (``sgn``), so one fused body can
+    mix widths without closure-cell name collisions.
     """
     return [
-        f"f = _PARITY[{result_var} & 0xFF]",
-        f"if {result_var} == 0:",
+        "f = _PARITY[r & 0xFF]",
+        "if r == 0:",
         "    f |= _ZF",
-        f"if {result_var} & {sgn}:",
+        f"if r & {sgn}:",
         "    f |= _SF",
     ]
 
 
-# -- per-kind step factories -------------------------------------------------
+# -- the statement generator -------------------------------------------------
 #
-# Every factory returns None when the operand shape falls outside its fast
-# path; the caller then uses the generic reference-handler step, so the
-# translated engine is total over the ISA by construction.
-
-
-def _gen_mov(instr, width, nxt, env):
-    src, dst = instr.operands
-    read = _read_bounded(src, width, 0, env)
-    write = _write_frag(dst, width, 1, env)
-    if read is None or write is None:
-        return None
-    env["NXT"] = nxt
-    return _build_step([write(read), "return NXT"], env)
-
-
-def _gen_movext(instr, nxt, env):
-    spec = instr.spec
-    src, dst = instr.operands
-    read = _read_bounded(src, spec.src_width, 0, env)
-    write = _write_frag(dst, spec.width, 1, env)
-    if read is None or write is None:
-        return None
-    env["NXT"] = nxt
-    if instr.mnemonic.startswith("movz"):
-        return _build_step([write(read), "return NXT"], env)
-    env["SSGN"] = 1 << (spec.src_width - 1)
-    env["EXT"] = mask_for_width(spec.width) ^ mask_for_width(spec.src_width)
-    body = [
-        f"v = {read}",
-        "if v & SSGN:",
-        "    v |= EXT",
-        write("v"),
-        "return NXT",
-    ]
-    return _build_step(body, env)
-
-
-def _gen_lea(instr, nxt, env):
-    src, dst = instr.operands
-    if not isinstance(src, Mem):
-        return None  # reference handler raises IllegalInstructionError
-    addr = _addr_frag(src, 0, env)
-    write = _write_frag(dst, 64, 1, env)
-    if addr is None or write is None:
-        return None
-    env["NXT"] = nxt
-    return _build_step([write(addr), "return NXT"], env)
+# Every ``_fuse_*`` emitter returns the statements of one instruction, or
+# None when its operand shape falls outside the generator; the caller then
+# compiles a closure step (the reference-handler fallback for straight-line
+# kinds), so the compiled engines are total over the ISA by construction.
+# ``j`` is the instruction's position in its body: operand ``2*j`` is the
+# source, ``2*j + 1`` the destination, keeping closure-cell names distinct
+# within one superblock. ``elide`` drops the flag computation of an
+# instruction whose flags a superblock proves dead; single steps never
+# elide.
 
 
 def _alu_guard(src, dst, width) -> bool:
@@ -363,277 +314,453 @@ def _alu_guard(src, dst, width) -> bool:
     return True
 
 
-def _gen_alu(instr, width, nxt, env):
+def _seg_guess(mem: Mem) -> int:
+    """Index into ``Memory._segments`` of the likeliest segment for ``mem``.
+
+    ``rbp``/``rsp``-based addressing is stack traffic, absolute addresses
+    are globals, everything else is pointer-chasing into the heap. A wrong
+    guess only costs speed — the generated fast path re-checks bounds and
+    falls back to the accessor — never correctness.
+    """
+    base = mem.base
+    if base is not None and base.root in ("rbp", "rsp"):
+        return 0  # stack
+    if base is None and mem.index is None:
+        return 2  # globals
+    return 1  # heap
+
+
+def _fread(op, width, idx, env, bounded=False):
+    """``(lines, value_expr)`` reading ``op``; ``(None, None)`` if unfusable.
+
+    Register and immediate operands read as a pure expression with no
+    lines (the :func:`_read_frag` rules, including the register-width
+    bounding caveat). Memory operands emit the inlined fast path — a
+    bounds check against the statically-guessed segment plus a struct codec
+    over its backing bytearray — falling back to ``rd`` (which also owns
+    the SegmentationFault) on a miss; the value lands in ``v{idx}``.
+    """
+    if isinstance(op, Mem):
+        if width not in (8, 16, 32, 64):
+            return None, None
+        addr = _addr_frag(op, idx, env)
+        if addr is None:
+            return None, None
+        n = width // 8
+        k = _seg_guess(op)
+        lines = [
+            f"a{idx} = {addr}",
+            f"if SEGB{k} <= a{idx} and a{idx} + {n} <= SEGE{k}:",
+            f"    v{idx} = _U{n}(SEGD{k}, a{idx} - SEGB{k})[0]",
+            "else:",
+            f"    v{idx} = rd(a{idx}, {n})",
+        ]
+        return lines, f"v{idx}"
+    expr = (_read_bounded if bounded else _read_frag)(op, width, idx, env)
+    if expr is None:
+        return None, None
+    return [], expr
+
+
+def _fwrite(op, width, idx, env, expr, have_addr=False):
+    """Statements writing ``expr`` (bounded to ``width``) into ``op``.
+
+    Memory destinations get the inlined fast path (struct codec plus the
+    reference's dirty-page bookkeeping), falling back to ``wr`` on a
+    bounds miss. ``have_addr`` reuses the ``a{idx}`` computed by this
+    operand's read — sound only when no register feeding the address was
+    written in between, which holds for every read-modify-write template
+    here because the destination operand itself is the only write.
+    """
+    if isinstance(op, Mem):
+        if width not in (8, 16, 32, 64):
+            return None
+        n = width // 8
+        k = _seg_guess(op)
+        lines = []
+        if not have_addr:
+            addr = _addr_frag(op, idx, env)
+            if addr is None:
+                return None
+            lines.append(f"a{idx} = {addr}")
+        if not expr.isidentifier():
+            lines.append(f"w{idx} = {expr}")
+            expr = f"w{idx}"
+        lines.extend((
+            f"if SEGB{k} <= a{idx} and a{idx} + {n} <= SEGE{k}:",
+            f"    o{idx} = a{idx} - SEGB{k}",
+            f"    _P{n}(SEGD{k}, o{idx}, {expr})",
+            f"    SEGA{k}(o{idx} >> 12)",
+        ))
+        if n > 1:
+            lines.append(f"    SEGA{k}((o{idx} + {n - 1}) >> 12)")
+        lines.extend(("else:", f"    wr(a{idx}, {expr}, {n})"))
+        return lines
+    write = _write_frag(op, width, idx, env)
+    if write is None:
+        return None
+    return [write(expr)]
+
+
+def _fuse_mov(instr, width, j, env):
+    src, dst = instr.operands
+    la, ea = _fread(src, width, 2 * j, env, bounded=True)
+    if la is None:
+        return None
+    lw = _fwrite(dst, width, 2 * j + 1, env, ea)
+    if lw is None:
+        return None
+    return [*la, *lw]
+
+
+def _fuse_movext(instr, j, env):
+    spec = instr.spec
+    src, dst = instr.operands
+    la, ea = _fread(src, spec.src_width, 2 * j, env, bounded=True)
+    if la is None:
+        return None
+    if instr.mnemonic.startswith("movz"):
+        lw = _fwrite(dst, spec.width, 2 * j + 1, env, ea)
+        if lw is None:
+            return None
+        return [*la, *lw]
+    ssgn = hex(1 << (spec.src_width - 1))
+    ext = hex(mask_for_width(spec.width) ^ mask_for_width(spec.src_width))
+    lw = _fwrite(dst, spec.width, 2 * j + 1, env, "v")
+    if lw is None:
+        return None
+    return [*la, f"v = {ea}", f"if v & {ssgn}:", f"    v |= {ext}", *lw]
+
+
+def _fuse_lea(instr, j, env):
+    src, dst = instr.operands
+    if not isinstance(src, Mem):
+        return None
+    addr = _addr_frag(src, 2 * j, env)
+    if addr is None:
+        return None
+    lw = _fwrite(dst, 64, 2 * j + 1, env, addr)
+    if lw is None:
+        return None
+    return lw
+
+
+def _fuse_alu(instr, width, j, env, elide):
     src, dst = instr.operands
     if not _alu_guard(src, dst, width):
         return None
-    read_a = _read_frag(src, width, 0, env)
-    read_b = _read_frag(dst, width, 1, env)
-    write = _write_frag(dst, width, 1, env)
-    if read_a is None or read_b is None or write is None:
+    la, ea = _fread(src, width, 2 * j, env)
+    lb, eb = _fread(dst, width, 2 * j + 1, env)
+    if la is None or lb is None:
         return None
-    env["NXT"] = nxt
-    env["M"] = mask_for_width(width)
-    env["SGN"] = 1 << (width - 1)
+
+    def write(expr):
+        return _fwrite(dst, width, 2 * j + 1, env, expr,
+                       have_addr=isinstance(dst, Mem))
+
+    m = hex(mask_for_width(width))
+    sgn = hex(1 << (width - 1))
     root = instr.mnemonic[:-1]
+    pre = [*la, f"a = {ea}", *lb, f"b = {eb}"]
+    wr_r = write("r")
+    if wr_r is None:
+        return None
 
     if root == "add":
-        body = [
-            f"a = {read_a}",
-            f"b = {read_b}",
+        if elide:
+            return [*pre, *write(f"(a + b) & {m}")]
+        return [
+            *pre,
             "full = a + b",
-            "r = full & M",
-            *_zf_sf_pf_lines(),
-            "if full > M:",
+            f"r = full & {m}",
+            *_zf_sf_pf_lines(sgn),
+            f"if full > {m}:",
             "    f |= _CF",
-            "if not ((a ^ b) & SGN) and ((a ^ r) & SGN):",
+            f"if not ((a ^ b) & {sgn}) and ((a ^ r) & {sgn}):",
             "    f |= _OF",
             "R.rflags = f",
-            write("r"),
-            "return NXT",
+            *wr_r,
         ]
-    elif root == "sub":
-        body = [
-            f"a = {read_a}",
-            f"b = {read_b}",
-            "r = (b - a) & M",
-            *_zf_sf_pf_lines(),
+    if root == "sub":
+        if elide:
+            return [*pre, *write(f"(b - a) & {m}")]
+        return [
+            *pre,
+            f"r = (b - a) & {m}",
+            *_zf_sf_pf_lines(sgn),
             "if b < a:",
             "    f |= _CF",
-            "if ((b ^ a) & SGN) and ((b ^ r) & SGN):",
+            f"if ((b ^ a) & {sgn}) and ((b ^ r) & {sgn}):",
             "    f |= _OF",
             "R.rflags = f",
-            write("r"),
-            "return NXT",
+            *wr_r,
         ]
-    elif root == "imul":
-        env["MD"] = mask_for_width(width) + 1
+    if root == "imul":
+        md = hex(mask_for_width(width) + 1)
         body = [
-            f"a = {read_a}",
-            f"b = {read_b}",
-            "if a & SGN:",
-            "    a -= MD",
-            "if b & SGN:",
-            "    b -= MD",
+            *pre,
+            f"if a & {sgn}:",
+            f"    a -= {md}",
+            f"if b & {sgn}:",
+            f"    b -= {md}",
             "full = a * b",
-            "r = full & M",
-            *_zf_sf_pf_lines(),
-            "if (r - MD if r & SGN else r) != full:",
+            f"r = full & {m}",
+        ]
+        if elide:
+            return [*body, *wr_r]
+        return [
+            *body,
+            *_zf_sf_pf_lines(sgn),
+            f"if (r - {md} if r & {sgn} else r) != full:",
             "    f |= _CFOF",
             "R.rflags = f",
-            write("r"),
-            "return NXT",
+            *wr_r,
         ]
-    elif root in ("and", "or", "xor"):
+    if root in ("and", "or", "xor"):
         sym = {"and": "&", "or": "|", "xor": "^"}[root]
-        body = [
-            f"a = {read_a}",  # src read first, as in the reference
-            f"r = {read_b} {sym} a",
-            *_zf_sf_pf_lines(),
-            "R.rflags = f",
-            write("r"),
-            "return NXT",
-        ]
-    else:  # pragma: no cover - spec table guarantees the roots above
-        return None
-    return _build_step(body, env)
+        body = [*pre, f"r = b {sym} a"]
+        if elide:
+            return [*body, *wr_r]
+        return [*body, *_zf_sf_pf_lines(sgn), "R.rflags = f",
+                *wr_r]
+    return None  # pragma: no cover - spec table guarantees the roots above
 
 
-def _gen_cmp(instr, width, nxt, env):
+def _fuse_cmp_test(instr, width, j, env, elide):
     src, dst = instr.operands
     if not _alu_guard(src, dst, width):
         return None
-    read_a = _read_frag(src, width, 0, env)
-    read_b = _read_frag(dst, width, 1, env)
-    if read_a is None or read_b is None:
+    la, ea = _fread(src, width, 2 * j, env)
+    lb, eb = _fread(dst, width, 2 * j + 1, env)
+    if la is None or lb is None:
         return None
-    env["NXT"] = nxt
-    env["M"] = mask_for_width(width)
-    env["SGN"] = 1 << (width - 1)
-    body = [
-        f"a = {read_a}",
-        f"b = {read_b}",
-        "r = (b - a) & M",
-        *_zf_sf_pf_lines(),
+    if elide:
+        # Flags are dead: keep only the (possibly faulting) memory reads,
+        # in the reference's src-then-dst order.
+        return [*la, *lb]
+    sgn = hex(1 << (width - 1))
+    if instr.kind is InstrKind.TEST:
+        return [*la, f"a = {ea}", *lb, f"r = {eb} & a",
+                *_zf_sf_pf_lines(sgn), "R.rflags = f"]
+    m = hex(mask_for_width(width))
+    return [
+        *la,
+        f"a = {ea}",
+        *lb,
+        f"b = {eb}",
+        f"r = (b - a) & {m}",
+        *_zf_sf_pf_lines(sgn),
         "if b < a:",
         "    f |= _CF",
-        "if ((b ^ a) & SGN) and ((b ^ r) & SGN):",
+        f"if ((b ^ a) & {sgn}) and ((b ^ r) & {sgn}):",
         "    f |= _OF",
         "R.rflags = f",
-        "return NXT",
     ]
-    return _build_step(body, env)
 
 
-def _gen_test(instr, width, nxt, env):
-    src, dst = instr.operands
-    if not _alu_guard(src, dst, width):
-        return None
-    read_a = _read_frag(src, width, 0, env)
-    read_b = _read_frag(dst, width, 1, env)
-    if read_a is None or read_b is None:
-        return None
-    env["NXT"] = nxt
-    env["SGN"] = 1 << (width - 1)
-    body = [
-        f"a = {read_a}",  # src read first, as in the reference
-        f"r = {read_b} & a",
-        *_zf_sf_pf_lines(),
-        "R.rflags = f",
-        "return NXT",
-    ]
-    return _build_step(body, env)
-
-
-def _gen_shift(instr, width, nxt, env):
+def _fuse_shift(instr, width, j, env, elide):
     src, dst = instr.operands
     if isinstance(dst, Reg) and dst.register.width != width:
         return None
-    read_v = _read_frag(dst, width, 1, env)
-    write = _write_frag(dst, width, 1, env)
-    if read_v is None or write is None:
+    lv, ev = _fread(dst, width, 2 * j + 1, env)
+    if lv is None:
+        return None
+    wr_r = _fwrite(dst, width, 2 * j + 1, env, "r",
+                   have_addr=isinstance(dst, Mem))
+    if wr_r is None:
         return None
     count_mask = 63 if width == 64 else 31
     op = instr.mnemonic[:3]
-    env["NXT"] = nxt
+    m = hex(mask_for_width(width))
+    sgn = hex(1 << (width - 1))
+    md = hex(mask_for_width(width) + 1)
 
     if isinstance(src, Imm):
         count = src.value & count_mask
         if count == 0:
-            # Flags and value unaffected — but the reference still performs
-            # the operand read (a memory operand can segfault); mirror it.
-            if isinstance(dst, Mem):
-                return _build_step([read_v, "return NXT"], env)
-            return _build_step(["return NXT"], env)
-        env["M"] = mask_for_width(width)
-        env["SGN"] = 1 << (width - 1)
-        env["CNT"] = count
+            # Flags and value unaffected; mirror the reference's read.
+            return lv if isinstance(dst, Mem) else []
         if op == "shl":
-            env["SH"] = width - count
-            calc = ["r = (v << CNT) & M", "cf = (v >> SH) & 1"]
+            calc = [f"r = (v << {count}) & {m}",
+                    f"cf = (v >> {width - count}) & 1"]
         elif op == "shr":
-            env["SH"] = count - 1
-            calc = ["r = v >> CNT", "cf = (v >> SH) & 1"]
+            calc = [f"r = v >> {count}", f"cf = (v >> {count - 1}) & 1"]
         else:  # sar
-            env["SH"] = count - 1
-            env["MD"] = mask_for_width(width) + 1
-            calc = [
-                "r = ((v - MD if v & SGN else v) >> CNT) & M",
-                "cf = (v >> SH) & 1",
-            ]
-        body = [
-            f"v = {read_v}",
-            *calc,
-            *_zf_sf_pf_lines(),
-            "if cf:",
-            "    f |= _CF",
-            "R.rflags = f",
-            write("r"),
-            "return NXT",
-        ]
-        return _build_step(body, env)
+            calc = [f"r = ((v - {md} if v & {sgn} else v) >> {count}) & {m}",
+                    f"cf = (v >> {count - 1}) & 1"]
+        if elide:
+            return [*lv, f"v = {ev}", calc[0], *wr_r]
+        return [*lv, f"v = {ev}", *calc, *_zf_sf_pf_lines(sgn),
+                "if cf:", "    f |= _CF", "R.rflags = f", *wr_r]
 
     if not (isinstance(src, Reg) and src.register.root == "rcx"):
-        return None  # reference handler raises IllegalInstructionError
-    env["M"] = mask_for_width(width)
-    env["SGN"] = 1 << (width - 1)
-    env["CM"] = count_mask
-    env["W"] = width
+        return None
     if op == "shl":
-        calc = ["r = (v << c) & M", "cf = (v >> (W - c)) & 1"]
+        calc = [f"r = (v << c) & {m}", f"cf = (v >> ({width} - c)) & 1"]
     elif op == "shr":
         calc = ["r = v >> c", "cf = (v >> (c - 1)) & 1"]
     else:  # sar
-        env["MD"] = mask_for_width(width) + 1
-        calc = [
-            "r = ((v - MD if v & SGN else v) >> c) & M",
-            "cf = (v >> (c - 1)) & 1",
-        ]
-    body = [
-        'c = g["rcx"] & CM',
-        f"v = {read_v}",  # read precedes the count-0 check (reference order)
-        "if c == 0:",
-        "    return NXT",
-        *calc,
-        *_zf_sf_pf_lines(),
-        "if cf:",
-        "    f |= _CF",
-        "R.rflags = f",
-        write("r"),
-        "return NXT",
+        calc = [f"r = ((v - {md} if v & {sgn} else v) >> c) & {m}",
+                "cf = (v >> (c - 1)) & 1"]
+    if elide:
+        inner = [calc[0], *wr_r]
+    else:
+        inner = [*calc, *_zf_sf_pf_lines(sgn),
+                 "if cf:", "    f |= _CF", "R.rflags = f", *wr_r]
+    return [
+        f'c = g["rcx"] & {count_mask}',
+        *lv,  # read precedes the count-0 check (reference order)
+        f"v = {ev}",
+        "if c:",
+        *["    " + line for line in inner],
     ]
-    return _build_step(body, env)
 
 
-def _gen_unary(instr, width, nxt, env):
+def _fuse_unary(instr, width, j, env, elide):
     (dst,) = instr.operands
     if isinstance(dst, Reg) and dst.register.width != width:
         return None
-    read_v = _read_frag(dst, width, 1, env)
-    write = _write_frag(dst, width, 1, env)
-    if read_v is None or write is None:
+    lv, ev = _fread(dst, width, 2 * j + 1, env)
+    if lv is None:
         return None
-    env["NXT"] = nxt
-    env["M"] = mask_for_width(width)
+
+    def write(expr):
+        return _fwrite(dst, width, 2 * j + 1, env, expr,
+                       have_addr=isinstance(dst, Mem))
+
+    wr_r = write("r")
+    if wr_r is None:
+        return None
+    m = hex(mask_for_width(width))
+    sgn = hex(1 << (width - 1))
     op = instr.mnemonic[:3]
 
     if op == "not":
-        body = [f"v = {read_v}", write("~v & M"), "return NXT"]
-        return _build_step(body, env)
-
-    env["SGN"] = 1 << (width - 1)
+        return [*lv, f"v = {ev}", *write(f"~v & {m}")]
     if op == "neg":
-        body = [
-            f"v = {read_v}",
-            "r = (-v) & M",
-            *_zf_sf_pf_lines(),
+        if elide:
+            return [*lv, f"v = {ev}", *write(f"(-v) & {m}")]
+        return [
+            *lv,
+            f"v = {ev}",
+            f"r = (-v) & {m}",
+            *_zf_sf_pf_lines(sgn),
             "if v:",
             "    f |= _CF",
-            "if v & SGN and r & SGN:",
+            f"if v & {sgn} and r & {sgn}:",
             "    f |= _OF",
             "R.rflags = f",
-            write("r"),
-            "return NXT",
+            *wr_r,
         ]
-    elif op == "inc":
-        body = [
-            f"v = {read_v}",
-            "r = (v + 1) & M",
-            *_zf_sf_pf_lines(),
-            "if not v & SGN and r & SGN:",
-            "    f |= _OF",
-            "R.rflags = f | (R.rflags & _CF)",  # inc preserves CF
-            write("r"),
-            "return NXT",
-        ]
-    else:  # dec
-        body = [
-            f"v = {read_v}",
-            "r = (v - 1) & M",
-            *_zf_sf_pf_lines(),
-            "if v & SGN and not r & SGN:",
-            "    f |= _OF",
-            "R.rflags = f | (R.rflags & _CF)",  # dec preserves CF
-            write("r"),
-            "return NXT",
-        ]
-    return _build_step(body, env)
+    delta = "+ 1" if op == "inc" else "- 1"
+    if elide:
+        return [*lv, f"v = {ev}", *write(f"(v {delta}) & {m}")]
+    of_cond = (f"if not v & {sgn} and r & {sgn}:" if op == "inc"
+               else f"if v & {sgn} and not r & {sgn}:")
+    return [
+        *lv,
+        f"v = {ev}",
+        f"r = (v {delta}) & {m}",
+        *_zf_sf_pf_lines(sgn),
+        of_cond,
+        "    f |= _OF",
+        "R.rflags = f | (R.rflags & _CF)",  # inc/dec preserve CF
+        *wr_r,
+    ]
 
 
-def _gen_setcc(instr, nxt, env):
+def _fuse_setcc(instr, j, env):
     (dst,) = instr.operands
     cond = _CC_EXPR.get(instr.spec.cc or "")
-    write = _write_frag(dst, 8, 1, env)
-    if cond is None or write is None:
+    if cond is None:
         return None
-    env["NXT"] = nxt
-    body = [
-        "f = R.rflags",
-        f"v = 1 if {cond} else 0",
-        write("v"),
-        "return NXT",
+    lw = _fwrite(dst, 8, 2 * j + 1, env, "v")
+    if lw is None:
+        return None
+    return ["f = R.rflags", f"v = 1 if {cond} else 0", *lw]
+
+
+def _fuse_convert(instr):
+    if instr.mnemonic == "cltq":
+        return [
+            'v = g["rax"] & 0xffffffff',
+            "if v & 0x80000000:",
+            "    v |= 0xffffffff00000000",
+            'g["rax"] = v',
+        ]
+    if instr.mnemonic == "cltd":
+        return ['g["rdx"] = 0xffffffff if g["rax"] & 0x80000000 else 0']
+    return ['g["rdx"] = 0xffffffffffffffff if g["rax"] >> 63 else 0']  # cqto
+
+
+def _fuse_push(instr, j, env):
+    (src,) = instr.operands
+    lv, ev = _fread(src, 64, 2 * j, env)
+    if lv is None:
+        return None
+    return [
+        *lv,
+        f"v = {ev}",
+        'rsp = g["rsp"] - 8',  # unmasked, as the reference passes it on
+        'g["rsp"] = rsp & _M64',
+        "if SEGB0 <= rsp and rsp + 8 <= SEGE0:",
+        "    o = rsp - SEGB0",
+        "    _P8(SEGD0, o, v)",
+        "    SEGA0(o >> 12)",
+        "    SEGA0((o + 7) >> 12)",
+        "else:",
+        "    wr(rsp, v, 8)",
     ]
-    return _build_step(body, env)
+
+
+def _fuse_pop(instr, j, env):
+    (dst,) = instr.operands
+    lw = _fwrite(dst, 64, 2 * j + 1, env, "v")
+    if lw is None:
+        return None
+    return [
+        'rsp = g["rsp"]',
+        "if SEGB0 <= rsp and rsp + 8 <= SEGE0:",
+        "    v = _U8(SEGD0, rsp - SEGB0)[0]",
+        "else:",
+        "    v = rd(rsp, 8)",
+        'g["rsp"] = (rsp + 8) & _M64',
+        *lw,
+    ]
+
+
+def _fuse_instr_lines(instr, j, env, elide) -> list[str] | None:
+    """Statements for one instruction (``None`` = outside the generator)."""
+    kind = instr.kind
+    width = instr.spec.width
+    if kind is InstrKind.MOV:
+        return _fuse_mov(instr, width, j, env)
+    if kind is InstrKind.MOVEXT:
+        return _fuse_movext(instr, j, env)
+    if kind is InstrKind.LEA:
+        return _fuse_lea(instr, j, env)
+    if kind is InstrKind.ALU:
+        return _fuse_alu(instr, width, j, env, elide)
+    if kind in (InstrKind.CMP, InstrKind.TEST):
+        return _fuse_cmp_test(instr, width, j, env, elide)
+    if kind is InstrKind.SHIFT:
+        return _fuse_shift(instr, width, j, env, elide)
+    if kind is InstrKind.UNARY:
+        return _fuse_unary(instr, width, j, env, elide)
+    if kind is InstrKind.SETCC:
+        return _fuse_setcc(instr, j, env)
+    if kind is InstrKind.CONVERT:
+        return _fuse_convert(instr)
+    if kind is InstrKind.PUSH:
+        return _fuse_push(instr, j, env)
+    if kind is InstrKind.POP:
+        return _fuse_pop(instr, j, env)
+    if kind is InstrKind.NOP:
+        return []
+    return None
+
+
+# -- closure steps (control flow, idiv, fallback) ---------------------------
 
 
 def _gen_jcc(instr, target_pc, nxt, env):
@@ -643,62 +770,6 @@ def _gen_jcc(instr, target_pc, nxt, env):
     env["NXT"] = nxt
     env["TGT"] = target_pc
     return _build_step(["f = R.rflags", f"return TGT if {cond} else NXT"], env)
-
-
-def _gen_push(instr, nxt, env):
-    (src,) = instr.operands
-    read = _read_frag(src, 64, 0, env)
-    if read is None:
-        return None
-    env["NXT"] = nxt
-    body = [
-        f"v = {read}",
-        'rsp = g["rsp"] - 8',  # unmasked, as the reference passes it on
-        'g["rsp"] = rsp & _M64',
-        "wr(rsp, v, 8)",
-        "return NXT",
-    ]
-    return _build_step(body, env)
-
-
-def _gen_pop(instr, nxt, env):
-    (dst,) = instr.operands
-    write = _write_frag(dst, 64, 1, env)
-    if write is None:
-        return None
-    env["NXT"] = nxt
-    body = [
-        'rsp = g["rsp"]',
-        "v = rd(rsp, 8)",
-        'g["rsp"] = (rsp + 8) & _M64',
-        write("v"),
-        "return NXT",
-    ]
-    return _build_step(body, env)
-
-
-# -- closure-based step factories (rare kinds) -------------------------------
-
-
-def _steps_convert(instr, nxt, gprs):
-    if instr.mnemonic == "cltq":
-        def step() -> int:
-            value = gprs["rax"] & _M32
-            if value & 0x8000_0000:
-                value |= 0xFFFF_FFFF_0000_0000
-            gprs["rax"] = value
-            return nxt
-        return step
-    if instr.mnemonic == "cltd":
-        def step() -> int:
-            gprs["rdx"] = _M32 if gprs["rax"] & 0x8000_0000 else 0
-            return nxt
-        return step
-
-    def step() -> int:  # cqto
-        gprs["rdx"] = _M64 if gprs["rax"] >> 63 else 0
-        return nxt
-    return step
 
 
 def _steps_idiv(instr, width, nxt, gprs, env):
@@ -818,66 +889,98 @@ def _steps_generic(machine, instr, nxt, target_pc):
     return step
 
 
-def _is_vector_op(op: Operand) -> bool:
-    return isinstance(op, Reg) and op.register.kind is RegisterKind.VECTOR
-
-
 # -- program translation -----------------------------------------------------
 
+#: Kinds the statement generator covers (straight-line, fusable into a
+#: superblock body).
+_FUSABLE_KINDS = frozenset({
+    InstrKind.MOV, InstrKind.MOVEXT, InstrKind.LEA, InstrKind.ALU,
+    InstrKind.SHIFT, InstrKind.UNARY, InstrKind.CMP, InstrKind.TEST,
+    InstrKind.SETCC, InstrKind.PUSH, InstrKind.POP, InstrKind.CONVERT,
+    InstrKind.NOP,
+})
 
-def translate_program(machine: "Machine") -> TranslatedCode:
-    """Compile every instruction of ``machine``'s program into a step."""
+
+class CompiledCode:
+    """The compiled program: one step per code index plus superblocks.
+
+    ``fused_steps[pc]`` is the superblock starting at ``pc`` (``None``
+    where none does — everywhere, for the ``"translated"`` engine), with
+    ``fused_len``/``fused_sites`` its instruction and fault-site counts.
+    """
+
+    __slots__ = ("steps", "site_flags", "code_len", "fusable", "fused_steps",
+                 "fused_len", "fused_sites", "progress")
+
+    def __init__(self, steps: list[Step], site_flags: list[int],
+                 fusable: list[bool]) -> None:
+        self.steps = steps
+        self.site_flags = site_flags
+        self.code_len = n = len(steps)
+        #: Whether the statement generator covers each instruction.
+        self.fusable = fusable
+        self.fused_steps: list[Step | None] = [None] * n
+        self.fused_len = [0] * n
+        self.fused_sites = [0] * n
+        #: ``[instructions, sites]`` completed inside the currently-failing
+        #: fused block; written by the generated except clause.
+        self.progress = [0, 0]
+
+
+def _base_env(machine: "Machine") -> dict:
+    """Live state bound into every generated step and superblock.
+
+    RegisterFile and Memory keep these objects identity-stable across
+    resets and snapshot restores — including each segment's start, backing
+    bytearray and dirty set, which the inlined memory fast path captures
+    (see repro.machine.memory).
+    """
     registers = machine.registers
-    gprs = registers._gprs
     memory = machine.memory
-    # Live state bound into every generated step. RegisterFile and Memory
-    # keep these objects identity-stable across reset/restore.
-    base_env = {
-        "g": gprs,
+    env = {
+        "g": registers._gprs,
         "R": registers,
         "rd": memory.read_uint,
         "wr": memory.write_uint,
         "M64": _M64,
     }
+    for k, seg in enumerate(memory._segments):
+        env[f"SEGB{k}"] = seg.start
+        env[f"SEGE{k}"] = seg.start + len(seg.data)
+        env[f"SEGD{k}"] = seg.data
+        env[f"SEGA{k}"] = seg.dirty.add
+    return env
+
+
+def translate_program(machine: "Machine") -> CompiledCode:
+    """Compile every instruction of ``machine``'s program into a step.
+
+    Straight-line instructions compile from the statement generator on a
+    one-instruction body, every flag computed; the result has no
+    superblocks (the ``"translated"`` engine).
+    """
+    base_env = _base_env(machine)
+    gprs = machine.registers._gprs
+    memory = machine.memory
     code = machine._code
     code_len = len(code)
     steps: list[Step] = []
+    fusable = [False] * code_len
 
     for pc, instr in enumerate(code):
         nxt = pc + 1 if pc + 1 < code_len else _FELL_OFF
         kind = instr.kind
-        width = instr.spec.width
         env = dict(base_env)
         step: Step | None = None
 
-        if kind is InstrKind.MOV:
-            src, dst = instr.operands
-            if not (_is_vector_op(src) or _is_vector_op(dst)):
-                step = _gen_mov(instr, width, nxt, env)
-        elif kind is InstrKind.MOVEXT:
-            step = _gen_movext(instr, nxt, env)
-        elif kind is InstrKind.LEA:
-            step = _gen_lea(instr, nxt, env)
-        elif kind is InstrKind.ALU:
-            step = _gen_alu(instr, width, nxt, env)
-        elif kind is InstrKind.SHIFT:
-            step = _gen_shift(instr, width, nxt, env)
-        elif kind is InstrKind.UNARY:
-            step = _gen_unary(instr, width, nxt, env)
-        elif kind is InstrKind.CMP:
-            step = _gen_cmp(instr, width, nxt, env)
-        elif kind is InstrKind.TEST:
-            step = _gen_test(instr, width, nxt, env)
-        elif kind is InstrKind.SETCC:
-            step = _gen_setcc(instr, nxt, env)
-        elif kind is InstrKind.PUSH:
-            step = _gen_push(instr, nxt, env)
-        elif kind is InstrKind.POP:
-            step = _gen_pop(instr, nxt, env)
-        elif kind is InstrKind.CONVERT:
-            step = _steps_convert(instr, nxt, gprs)
+        if kind in _FUSABLE_KINDS:
+            lines = _fuse_instr_lines(instr, 0, env, False)
+            if lines is not None:
+                fusable[pc] = True
+                env["NXT"] = nxt
+                step = _build_step([*lines, "return NXT"], env)
         elif kind is InstrKind.IDIV:
-            step = _steps_idiv(instr, width, nxt, gprs, env)
+            step = _steps_idiv(instr, instr.spec.width, nxt, gprs, env)
         elif kind is InstrKind.JMP:
             def step(_t=machine._jump_pc[pc]) -> int:
                 return _t
@@ -888,125 +991,23 @@ def translate_program(machine: "Machine") -> TranslatedCode:
                                machine._call_builtin_fn[pc], gprs, memory)
         elif kind is InstrKind.RET:
             step = _steps_ret(machine, gprs, memory, code_len)
-        elif kind is InstrKind.NOP:
-            def step(_n=nxt) -> int:
-                return _n
 
         if step is None:
             step = _steps_generic(machine, instr, nxt, machine._jump_pc[pc])
         steps.append(step)
 
-    return TranslatedCode(steps, [1 if site else 0 for site in machine._is_site])
-
-
-# -- execution loops ---------------------------------------------------------
-
-
-def execute_translated(
-    machine: "Machine",
-    translation: TranslatedCode,
-    pc: int,
-    executed: int,
-    sites: int,
-    budget: int,
-    fault_hook,
-    fault_at: int,
-    stop_at_site: int | None,
-) -> tuple[int, int, int, bool]:
-    """Drive the compiled steps; same contract as ``Machine._execute_from``.
-
-    The no-hook/no-stop fast loop serves golden runs and fault-free suffix
-    execution; the general loop adds fault-site delivery and checkpoint
-    stops with exactly the reference engine's check ordering, counters and
-    halt-stamp semantics.
-
-    Because ``fault_hook`` and ``stop_at_site`` compose in one call (the
-    general loop checks stop, then bounds, then budget, exactly like the
-    reference engine), convergence early-exit needs no loop of its own:
-    ``Machine._run_converged`` chains plain legs of this function between
-    trail boundaries. Steps write ``_gprs``/``rflags`` behind the register
-    file's back, so callers that cache register snapshots must go through
-    ``Machine._engine_leg``, which invalidates the copy-on-write cache
-    after every leg that executed an instruction.
-    """
-    steps = translation.steps
-    site_flags = translation.site_flags
-    code_len = translation.code_len
-
-    if fault_hook is None and stop_at_site is None:
-        try:
-            if pc < 0 or pc >= code_len:
-                raise MachineFault(f"execution fell outside code at index {pc}")
-            while True:
-                if executed >= budget:
-                    raise ExecutionLimitExceeded(
-                        f"exceeded {budget} dynamic instructions"
-                    )
-                new_pc = steps[pc]()
-                executed += 1
-                sites += site_flags[pc]
-                if new_pc >= 0:
-                    pc = new_pc
-                    continue
-                if new_pc == _HALT:
-                    break
-                raise MachineFault(
-                    f"execution fell outside code at index {code_len}"
-                )
-        except MachineError:
-            if machine._post_exec:
-                machine._post_exec = False
-                executed += 1  # the faulting call/ret did execute
-            machine.halt_executed = executed
-            machine.halt_sites = sites
-            raise
-        return pc, executed, sites, False
-
-    code = machine._code
-    try:
-        while True:
-            # Check order mirrors the reference loop: stop, bounds, budget.
-            if stop_at_site is not None and sites >= stop_at_site:
-                return pc, executed, sites, True
-            if pc >= code_len or pc < 0:
-                raise MachineFault(f"execution fell outside code at index {pc}")
-            if executed >= budget:
-                raise ExecutionLimitExceeded(
-                    f"exceeded {budget} dynamic instructions"
-                )
-            new_pc = steps[pc]()
-            executed += 1
-            if site_flags[pc]:
-                if fault_hook is not None and (fault_at < 0 or sites == fault_at):
-                    machine.executed_at_site = executed
-                    fault_hook(machine, code[pc], sites)
-                sites += 1
-            if new_pc >= 0:
-                pc = new_pc
-                continue
-            if new_pc == _HALT:
-                break
-            # Fell off the end: next iteration faults, after the stop check —
-            # matching the reference loop's check ordering.
-            pc = code_len
-    except MachineError:
-        if machine._post_exec:
-            machine._post_exec = False
-            executed += 1  # the faulting call/ret did execute
-        machine.halt_executed = executed
-        machine.halt_sites = sites
-        raise
-    return pc, executed, sites, False
+    site_flags = [1 if site else 0 for site in machine._is_site]
+    return CompiledCode(steps, site_flags, fusable)
 
 
 # -- superblock fusion --------------------------------------------------------
 #
-# The fused engine removes the remaining per-instruction cost of the
-# threaded-code engine: instead of one closure call, one counter update and
-# one loop iteration per instruction, each basic block / fall-through
-# superblock compiles to ONE exec'd body — straight-line statements
-# concatenated, with flag computation elided at interior instructions whose
-# flags are provably dead (per-bit backward liveness over
+# The fused engine removes the remaining per-instruction cost of single
+# steps: instead of one closure call, one counter update and one loop
+# iteration per instruction, each basic block / fall-through superblock
+# compiles to ONE exec'd body — the generator's statements concatenated,
+# with flag computation elided at interior instructions whose flags are
+# provably dead (per-bit backward liveness over
 # ``asm.liveness.flag_bits_read``/``flag_bits_written``, conservatively ALL
 # bits live at every block exit, so the architectural RFLAGS value at any
 # block boundary is always exact).
@@ -1014,8 +1015,8 @@ def execute_translated(
 # Bit-identity is preserved by construction:
 #
 # * blocks are cut at calls, returns, ``idiv`` and any shape outside the
-#   fast paths — those instructions execute through the per-instruction
-#   translated steps, which the fused code object retains in full;
+#   generator — those instructions execute through their single steps,
+#   which the compiled code retains for every instruction;
 # * a block only runs fused when no observable event can occur inside it:
 #   the instruction budget cannot expire mid-block, no ``stop_at_site``
 #   boundary and no pending fault-site hook falls inside it — otherwise the
@@ -1026,37 +1027,6 @@ def execute_translated(
 #   into a shared cell before each such statement, so ``halt_executed`` /
 #   ``halt_sites`` stay exact when a segfault aborts a fused block.
 
-from repro.asm.liveness import (  # noqa: E402  (fusion-only dependency)
-    ALL_FLAG_BITS,
-    _shift_count,
-    flag_bits_read,
-    flag_bits_written,
-)
-
-#: Kinds the fusion emitter can place inside a superblock body.
-_FUSABLE_KINDS = frozenset({
-    InstrKind.MOV, InstrKind.MOVEXT, InstrKind.LEA, InstrKind.ALU,
-    InstrKind.SHIFT, InstrKind.UNARY, InstrKind.CMP, InstrKind.TEST,
-    InstrKind.SETCC, InstrKind.PUSH, InstrKind.POP, InstrKind.CONVERT,
-    InstrKind.NOP,
-})
-
-
-class FusedCode:
-    """Fused superblocks over a :class:`TranslatedCode` fallback layer."""
-
-    __slots__ = ("base", "fused_steps", "fused_len", "fused_sites", "progress")
-
-    def __init__(self, base: TranslatedCode, fused_steps, fused_len,
-                 fused_sites, progress) -> None:
-        self.base = base
-        self.fused_steps = fused_steps
-        self.fused_len = fused_len
-        self.fused_sites = fused_sites
-        #: ``[instructions, sites]`` completed inside the currently-failing
-        #: fused block; written by the generated except clause.
-        self.progress = progress
-
 
 def _can_fault(instr) -> bool:
     """Whether a fused statement for ``instr`` can raise a MachineError."""
@@ -1065,455 +1035,6 @@ def _can_fault(instr) -> bool:
     if instr.kind is InstrKind.LEA:
         return False  # address arithmetic only, no access
     return any(isinstance(op, Mem) for op in instr.operands)
-
-
-def _seg_guess(mem: Mem) -> int:
-    """Index into ``Memory._segments`` of the likeliest segment for ``mem``.
-
-    ``rbp``/``rsp``-based addressing is stack traffic, absolute addresses
-    are globals, everything else is pointer-chasing into the heap. A wrong
-    guess only costs speed — the generated fast path re-checks bounds and
-    falls back to the accessor — never correctness.
-    """
-    base = mem.base
-    if base is not None and base.root in ("rbp", "rsp"):
-        return 0  # stack
-    if base is None and mem.index is None:
-        return 2  # globals
-    return 1  # heap
-
-
-def _fread(op, width, idx, env, bounded=False):
-    """``(lines, value_expr)`` reading ``op``; ``(None, None)`` if unfusable.
-
-    Register and immediate operands read as a pure expression with no
-    lines (the :func:`_read_frag` rules, including the register-width
-    bounding caveat). Memory operands emit the fused engine's inlined fast
-    path — a bounds check against the statically-guessed segment plus a
-    struct codec over its backing bytearray — falling back to ``rd`` (which
-    also owns the SegmentationFault) on a miss; the value lands in
-    ``v{idx}``.
-    """
-    if isinstance(op, Mem):
-        if width not in (8, 16, 32, 64):
-            return None, None
-        addr = _addr_frag(op, idx, env)
-        if addr is None:
-            return None, None
-        n = width // 8
-        k = _seg_guess(op)
-        lines = [
-            f"a{idx} = {addr}",
-            f"if SEGB{k} <= a{idx} and a{idx} + {n} <= SEGE{k}:",
-            f"    v{idx} = _U{n}(SEGD{k}, a{idx} - SEGB{k})[0]",
-            "else:",
-            f"    v{idx} = rd(a{idx}, {n})",
-        ]
-        return lines, f"v{idx}"
-    expr = (_read_bounded if bounded else _read_frag)(op, width, idx, env)
-    if expr is None:
-        return None, None
-    return [], expr
-
-
-def _fwrite(op, width, idx, env, expr, have_addr=False):
-    """Statements writing ``expr`` (bounded to ``width``) into ``op``.
-
-    Memory destinations get the inlined fast path (struct codec plus the
-    reference's dirty-page bookkeeping), falling back to ``wr`` on a
-    bounds miss. ``have_addr`` reuses the ``a{idx}`` computed by this
-    operand's read — sound only when no register feeding the address was
-    written in between, which holds for every read-modify-write template
-    here because the destination operand itself is the only write.
-    """
-    if isinstance(op, Mem):
-        if width not in (8, 16, 32, 64):
-            return None
-        n = width // 8
-        k = _seg_guess(op)
-        lines = []
-        if not have_addr:
-            addr = _addr_frag(op, idx, env)
-            if addr is None:
-                return None
-            lines.append(f"a{idx} = {addr}")
-        if not expr.isidentifier():
-            lines.append(f"w{idx} = {expr}")
-            expr = f"w{idx}"
-        lines.extend((
-            f"if SEGB{k} <= a{idx} and a{idx} + {n} <= SEGE{k}:",
-            f"    o{idx} = a{idx} - SEGB{k}",
-            f"    _P{n}(SEGD{k}, o{idx}, {expr})",
-            f"    SEGA{k}(o{idx} >> 12)",
-        ))
-        if n > 1:
-            lines.append(f"    SEGA{k}((o{idx} + {n - 1}) >> 12)")
-        lines.extend(("else:", f"    wr(a{idx}, {expr}, {n})"))
-        return lines
-    write = _write_frag(op, width, idx, env)
-    if write is None:
-        return None
-    return [write(expr)]
-
-
-def _fuse_mov(instr, width, j, env):
-    src, dst = instr.operands
-    if _is_vector_op(src) or _is_vector_op(dst):
-        return None
-    la, ea = _fread(src, width, 2 * j, env, bounded=True)
-    if la is None:
-        return None
-    lw = _fwrite(dst, width, 2 * j + 1, env, ea)
-    if lw is None:
-        return None
-    return [*la, *lw]
-
-
-def _fuse_movext(instr, j, env):
-    spec = instr.spec
-    src, dst = instr.operands
-    la, ea = _fread(src, spec.src_width, 2 * j, env, bounded=True)
-    if la is None:
-        return None
-    if instr.mnemonic.startswith("movz"):
-        lw = _fwrite(dst, spec.width, 2 * j + 1, env, ea)
-        if lw is None:
-            return None
-        return [*la, *lw]
-    ssgn = hex(1 << (spec.src_width - 1))
-    ext = hex(mask_for_width(spec.width) ^ mask_for_width(spec.src_width))
-    lw = _fwrite(dst, spec.width, 2 * j + 1, env, "v")
-    if lw is None:
-        return None
-    return [*la, f"v = {ea}", f"if v & {ssgn}:", f"    v |= {ext}", *lw]
-
-
-def _fuse_lea(instr, j, env):
-    src, dst = instr.operands
-    if not isinstance(src, Mem):
-        return None
-    addr = _addr_frag(src, 2 * j, env)
-    if addr is None:
-        return None
-    lw = _fwrite(dst, 64, 2 * j + 1, env, addr)
-    if lw is None:
-        return None
-    return lw
-
-
-def _fuse_alu(instr, width, j, env, elide):
-    src, dst = instr.operands
-    if not _alu_guard(src, dst, width):
-        return None
-    la, ea = _fread(src, width, 2 * j, env)
-    lb, eb = _fread(dst, width, 2 * j + 1, env)
-    if la is None or lb is None:
-        return None
-
-    def write(expr):
-        return _fwrite(dst, width, 2 * j + 1, env, expr,
-                       have_addr=isinstance(dst, Mem))
-
-    m = hex(mask_for_width(width))
-    sgn = hex(1 << (width - 1))
-    root = instr.mnemonic[:-1]
-    pre = [*la, f"a = {ea}", *lb, f"b = {eb}"]
-    wr_r = write("r")
-    if wr_r is None:
-        return None
-
-    if root == "add":
-        if elide:
-            return [*pre, *write(f"(a + b) & {m}")]
-        return [
-            *pre,
-            "full = a + b",
-            f"r = full & {m}",
-            *_zf_sf_pf_lines("r", sgn=sgn),
-            f"if full > {m}:",
-            "    f |= _CF",
-            f"if not ((a ^ b) & {sgn}) and ((a ^ r) & {sgn}):",
-            "    f |= _OF",
-            "R.rflags = f",
-            *wr_r,
-        ]
-    if root == "sub":
-        if elide:
-            return [*pre, *write(f"(b - a) & {m}")]
-        return [
-            *pre,
-            f"r = (b - a) & {m}",
-            *_zf_sf_pf_lines("r", sgn=sgn),
-            "if b < a:",
-            "    f |= _CF",
-            f"if ((b ^ a) & {sgn}) and ((b ^ r) & {sgn}):",
-            "    f |= _OF",
-            "R.rflags = f",
-            *wr_r,
-        ]
-    if root == "imul":
-        md = hex(mask_for_width(width) + 1)
-        body = [
-            *pre,
-            f"if a & {sgn}:",
-            f"    a -= {md}",
-            f"if b & {sgn}:",
-            f"    b -= {md}",
-            "full = a * b",
-            f"r = full & {m}",
-        ]
-        if elide:
-            return [*body, *wr_r]
-        return [
-            *body,
-            *_zf_sf_pf_lines("r", sgn=sgn),
-            f"if (r - {md} if r & {sgn} else r) != full:",
-            "    f |= _CFOF",
-            "R.rflags = f",
-            *wr_r,
-        ]
-    if root in ("and", "or", "xor"):
-        sym = {"and": "&", "or": "|", "xor": "^"}[root]
-        body = [*pre, f"r = b {sym} a"]
-        if elide:
-            return [*body, *wr_r]
-        return [*body, *_zf_sf_pf_lines("r", sgn=sgn), "R.rflags = f",
-                *wr_r]
-    return None  # pragma: no cover - spec table guarantees the roots above
-
-
-def _fuse_cmp_test(instr, width, j, env, elide):
-    src, dst = instr.operands
-    if not _alu_guard(src, dst, width):
-        return None
-    la, ea = _fread(src, width, 2 * j, env)
-    lb, eb = _fread(dst, width, 2 * j + 1, env)
-    if la is None or lb is None:
-        return None
-    if elide:
-        # Flags are dead: keep only the (possibly faulting) memory reads,
-        # in the reference's src-then-dst order.
-        return [*la, *lb]
-    sgn = hex(1 << (width - 1))
-    if instr.kind is InstrKind.TEST:
-        return [*la, f"a = {ea}", *lb, f"r = {eb} & a",
-                *_zf_sf_pf_lines("r", sgn=sgn), "R.rflags = f"]
-    m = hex(mask_for_width(width))
-    return [
-        *la,
-        f"a = {ea}",
-        *lb,
-        f"b = {eb}",
-        f"r = (b - a) & {m}",
-        *_zf_sf_pf_lines("r", sgn=sgn),
-        "if b < a:",
-        "    f |= _CF",
-        f"if ((b ^ a) & {sgn}) and ((b ^ r) & {sgn}):",
-        "    f |= _OF",
-        "R.rflags = f",
-    ]
-
-
-def _fuse_shift(instr, width, j, env, elide):
-    src, dst = instr.operands
-    if isinstance(dst, Reg) and dst.register.width != width:
-        return None
-    lv, ev = _fread(dst, width, 2 * j + 1, env)
-    if lv is None:
-        return None
-    wr_r = _fwrite(dst, width, 2 * j + 1, env, "r",
-                   have_addr=isinstance(dst, Mem))
-    if wr_r is None:
-        return None
-    count_mask = 63 if width == 64 else 31
-    op = instr.mnemonic[:3]
-    m = hex(mask_for_width(width))
-    sgn = hex(1 << (width - 1))
-    md = hex(mask_for_width(width) + 1)
-
-    if isinstance(src, Imm):
-        count = src.value & count_mask
-        if count == 0:
-            # Flags and value unaffected; mirror the reference's read.
-            return lv if isinstance(dst, Mem) else []
-        if op == "shl":
-            calc = [f"r = (v << {count}) & {m}",
-                    f"cf = (v >> {width - count}) & 1"]
-        elif op == "shr":
-            calc = [f"r = v >> {count}", f"cf = (v >> {count - 1}) & 1"]
-        else:  # sar
-            calc = [f"r = ((v - {md} if v & {sgn} else v) >> {count}) & {m}",
-                    f"cf = (v >> {count - 1}) & 1"]
-        if elide:
-            return [*lv, f"v = {ev}", calc[0], *wr_r]
-        return [*lv, f"v = {ev}", *calc, *_zf_sf_pf_lines("r", sgn=sgn),
-                "if cf:", "    f |= _CF", "R.rflags = f", *wr_r]
-
-    if not (isinstance(src, Reg) and src.register.root == "rcx"):
-        return None
-    if op == "shl":
-        calc = [f"r = (v << c) & {m}", f"cf = (v >> ({width} - c)) & 1"]
-    elif op == "shr":
-        calc = ["r = v >> c", "cf = (v >> (c - 1)) & 1"]
-    else:  # sar
-        calc = [f"r = ((v - {md} if v & {sgn} else v) >> c) & {m}",
-                "cf = (v >> (c - 1)) & 1"]
-    if elide:
-        inner = [calc[0], *wr_r]
-    else:
-        inner = [*calc, *_zf_sf_pf_lines("r", sgn=sgn),
-                 "if cf:", "    f |= _CF", "R.rflags = f", *wr_r]
-    return [
-        f'c = g["rcx"] & {count_mask}',
-        *lv,  # read precedes the count-0 check (reference order)
-        f"v = {ev}",
-        "if c:",
-        *["    " + line for line in inner],
-    ]
-
-
-def _fuse_unary(instr, width, j, env, elide):
-    (dst,) = instr.operands
-    if isinstance(dst, Reg) and dst.register.width != width:
-        return None
-    lv, ev = _fread(dst, width, 2 * j + 1, env)
-    if lv is None:
-        return None
-
-    def write(expr):
-        return _fwrite(dst, width, 2 * j + 1, env, expr,
-                       have_addr=isinstance(dst, Mem))
-
-    wr_r = write("r")
-    if wr_r is None:
-        return None
-    m = hex(mask_for_width(width))
-    sgn = hex(1 << (width - 1))
-    op = instr.mnemonic[:3]
-
-    if op == "not":
-        return [*lv, f"v = {ev}", *write(f"~v & {m}")]
-    if op == "neg":
-        if elide:
-            return [*lv, f"v = {ev}", *write(f"(-v) & {m}")]
-        return [
-            *lv,
-            f"v = {ev}",
-            f"r = (-v) & {m}",
-            *_zf_sf_pf_lines("r", sgn=sgn),
-            "if v:",
-            "    f |= _CF",
-            f"if v & {sgn} and r & {sgn}:",
-            "    f |= _OF",
-            "R.rflags = f",
-            *wr_r,
-        ]
-    delta = "+ 1" if op == "inc" else "- 1"
-    if elide:
-        return [*lv, f"v = {ev}", *write(f"(v {delta}) & {m}")]
-    of_cond = (f"if not v & {sgn} and r & {sgn}:" if op == "inc"
-               else f"if v & {sgn} and not r & {sgn}:")
-    return [
-        *lv,
-        f"v = {ev}",
-        f"r = (v {delta}) & {m}",
-        *_zf_sf_pf_lines("r", sgn=sgn),
-        of_cond,
-        "    f |= _OF",
-        "R.rflags = f | (R.rflags & _CF)",  # inc/dec preserve CF
-        *wr_r,
-    ]
-
-
-def _fuse_setcc(instr, j, env):
-    (dst,) = instr.operands
-    cond = _CC_EXPR.get(instr.spec.cc or "")
-    if cond is None:
-        return None
-    lw = _fwrite(dst, 8, 2 * j + 1, env, "v")
-    if lw is None:
-        return None
-    return ["f = R.rflags", f"v = 1 if {cond} else 0", *lw]
-
-
-def _fuse_convert(instr):
-    if instr.mnemonic == "cltq":
-        return [
-            'v = g["rax"] & 0xffffffff',
-            "if v & 0x80000000:",
-            "    v |= 0xffffffff00000000",
-            'g["rax"] = v',
-        ]
-    if instr.mnemonic == "cltd":
-        return ['g["rdx"] = 0xffffffff if g["rax"] & 0x80000000 else 0']
-    return ['g["rdx"] = 0xffffffffffffffff if g["rax"] >> 63 else 0']  # cqto
-
-
-def _fuse_push(instr, j, env):
-    (src,) = instr.operands
-    lv, ev = _fread(src, 64, 2 * j, env)
-    if lv is None:
-        return None
-    return [
-        *lv,
-        f"v = {ev}",
-        'rsp = g["rsp"] - 8',  # unmasked, as the reference passes it on
-        'g["rsp"] = rsp & _M64',
-        "if SEGB0 <= rsp and rsp + 8 <= SEGE0:",
-        "    o = rsp - SEGB0",
-        "    _P8(SEGD0, o, v)",
-        "    SEGA0(o >> 12)",
-        "    SEGA0((o + 7) >> 12)",
-        "else:",
-        "    wr(rsp, v, 8)",
-    ]
-
-
-def _fuse_pop(instr, j, env):
-    (dst,) = instr.operands
-    lw = _fwrite(dst, 64, 2 * j + 1, env, "v")
-    if lw is None:
-        return None
-    return [
-        'rsp = g["rsp"]',
-        "if SEGB0 <= rsp and rsp + 8 <= SEGE0:",
-        "    v = _U8(SEGD0, rsp - SEGB0)[0]",
-        "else:",
-        "    v = rd(rsp, 8)",
-        'g["rsp"] = (rsp + 8) & _M64',
-        *lw,
-    ]
-
-
-def _fuse_instr_lines(instr, j, env, elide) -> list[str] | None:
-    """Fused-body statements for one instruction (``None`` = not fusable)."""
-    kind = instr.kind
-    width = instr.spec.width
-    if kind is InstrKind.MOV:
-        return _fuse_mov(instr, width, j, env)
-    if kind is InstrKind.MOVEXT:
-        return _fuse_movext(instr, j, env)
-    if kind is InstrKind.LEA:
-        return _fuse_lea(instr, j, env)
-    if kind is InstrKind.ALU:
-        return _fuse_alu(instr, width, j, env, elide)
-    if kind in (InstrKind.CMP, InstrKind.TEST):
-        return _fuse_cmp_test(instr, width, j, env, elide)
-    if kind is InstrKind.SHIFT:
-        return _fuse_shift(instr, width, j, env, elide)
-    if kind is InstrKind.UNARY:
-        return _fuse_unary(instr, width, j, env, elide)
-    if kind is InstrKind.SETCC:
-        return _fuse_setcc(instr, j, env)
-    if kind is InstrKind.CONVERT:
-        return _fuse_convert(instr)
-    if kind is InstrKind.PUSH:
-        return _fuse_push(instr, j, env)
-    if kind is InstrKind.POP:
-        return _fuse_pop(instr, j, env)
-    if kind is InstrKind.NOP:
-        return []
-    return None
 
 
 def _dead_flag_elisions(run) -> list[bool]:
@@ -1541,14 +1062,16 @@ def _dead_flag_elisions(run) -> list[bool]:
     return elide
 
 
-def _fuse_block(machine, code, start, leaders, base_env, progress):
+def _fuse_block(machine, compiled, start, leaders, base_env):
     """Compile the superblock at leader ``start``; None when < 2 instrs.
 
     Returns ``(step, instruction_count, site_count)``. The block extends
     through straight-line fusable instructions up to (and including) a
     terminating ``jmp``/``jcc``, and is cut at the next leader, at any
-    call/ret/idiv, or at a shape outside the fast paths.
+    call/ret/idiv, or at a shape outside the generator.
     """
+    code = machine._code
+    fusable = compiled.fusable
     n = len(code)
     run = []
     j = start
@@ -1569,9 +1092,7 @@ def _fuse_block(machine, code, start, leaders, base_env, progress):
             term = ("jcc", cond, machine._jump_pc[j])
             j += 1
             break
-        if kind not in _FUSABLE_KINDS:
-            break
-        if _fuse_instr_lines(instr, len(run), dict(base_env), False) is None:
+        if not fusable[j]:
             break
         run.append(instr)
         j += 1
@@ -1609,7 +1130,7 @@ def _fuse_block(machine, code, start, leaders, base_env, progress):
 
     if faulting:
         env["ME"] = MachineError
-        env["PROG"] = progress
+        env["PROG"] = compiled.progress
         body = ["N = 0", "S = 0", "try:"]
         body.extend("    " + line for line in stmts)
         body.extend(("except ME:", "    PROG[0] = N", "    PROG[1] = S",
@@ -1621,9 +1142,9 @@ def _fuse_block(machine, code, start, leaders, base_env, progress):
     return step, length, block_sites
 
 
-def translate_fused(machine: "Machine") -> FusedCode:
-    """Fuse superblocks over the per-instruction translation of ``machine``."""
-    base = translate_program(machine)
+def translate_fused(machine: "Machine") -> CompiledCode:
+    """:func:`translate_program` plus superblocks at every block leader."""
+    compiled = translate_program(machine)
     code = machine._code
     n = len(code)
 
@@ -1637,40 +1158,24 @@ def translate_fused(machine: "Machine") -> FusedCode:
         if (kind.is_branch or kind not in _FUSABLE_KINDS) and pc + 1 < n:
             leaders.add(pc + 1)
 
-    registers = machine.registers
-    base_env = {
-        "g": registers._gprs,
-        "R": registers,
-        "rd": machine.memory.read_uint,
-        "wr": machine.memory.write_uint,
-        "M64": _M64,
-    }
-    # Segment bindings for the inlined memory fast path. Segment start,
-    # backing bytearray and dirty set are identity-stable across resets and
-    # snapshot restores (see repro.machine.memory), so capturing them at
-    # fuse time is safe.
-    for k, seg in enumerate(machine.memory._segments):
-        base_env[f"SEGB{k}"] = seg.start
-        base_env[f"SEGE{k}"] = seg.start + len(seg.data)
-        base_env[f"SEGD{k}"] = seg.data
-        base_env[f"SEGA{k}"] = seg.dirty.add
-    progress = [0, 0]
-    fused_steps: list[Step | None] = [None] * n
-    fused_len = [0] * n
-    fused_sites = [0] * n
+    base_env = _base_env(machine)
     for start in sorted(leaders):
         if start >= n:
             continue
-        built = _fuse_block(machine, code, start, leaders, base_env, progress)
+        built = _fuse_block(machine, compiled, start, leaders, base_env)
         if built is None:
             continue
-        fused_steps[start], fused_len[start], fused_sites[start] = built
-    return FusedCode(base, fused_steps, fused_len, fused_sites, progress)
+        (compiled.fused_steps[start], compiled.fused_len[start],
+         compiled.fused_sites[start]) = built
+    return compiled
+
+
+# -- the run loop --------------------------------------------------------------
 
 
 def execute_fused(
     machine: "Machine",
-    fused: FusedCode,
+    compiled: CompiledCode,
     pc: int,
     executed: int,
     sites: int,
@@ -1679,24 +1184,36 @@ def execute_fused(
     fault_at: int,
     stop_at_site: int | None,
 ) -> tuple[int, int, int, bool]:
-    """Drive fused superblocks; same contract as ``execute_translated``.
+    """Drive compiled code; same contract as ``Machine._execute_from``.
 
-    A block runs fused only when nothing observable can happen inside it —
-    the budget cannot expire mid-block, no ``stop_at_site`` boundary and no
-    hook-eligible fault site falls inside it. Everything else (including
-    every instruction of a block containing the pending fault site)
-    single-steps through the per-instruction translated steps, so counters,
+    The one run loop of both compiled engines. A superblock runs only when
+    nothing observable can happen inside it — the budget cannot expire
+    mid-block, no ``stop_at_site`` boundary and no hook-eligible fault site
+    falls inside it. Everything else (including every instruction of a
+    block containing the pending fault site, and every instruction of a
+    program compiled without superblocks) single-steps, so counters,
     snapshots, hook delivery and fault-site numbering are bit-identical to
     the reference engine.
+
+    The no-hook/no-stop fast loop serves golden runs and fault-free suffix
+    execution; the general loop adds fault-site delivery and checkpoint
+    stops with exactly the reference engine's check ordering (stop, then
+    bounds, then budget), counters and halt-stamp semantics. Because
+    ``fault_hook`` and ``stop_at_site`` compose in one call, convergence
+    early-exit needs no loop of its own: ``Machine._run_converged`` chains
+    plain legs of this function between trail boundaries. Steps write
+    ``_gprs``/``rflags`` behind the register file's back, so callers that
+    cache register snapshots must go through ``Machine._engine_leg``, which
+    invalidates the copy-on-write cache after every leg that executed an
+    instruction.
     """
-    base = fused.base
-    steps = base.steps
-    site_flags = base.site_flags
-    code_len = base.code_len
-    fsteps = fused.fused_steps
-    flen = fused.fused_len
-    fsites = fused.fused_sites
-    prog = fused.progress
+    steps = compiled.steps
+    site_flags = compiled.site_flags
+    code_len = compiled.code_len
+    fsteps = compiled.fused_steps
+    flen = compiled.fused_len
+    fsites = compiled.fused_sites
+    prog = compiled.progress
 
     if fault_hook is None and stop_at_site is None:
         try:

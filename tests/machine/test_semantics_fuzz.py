@@ -7,13 +7,17 @@ unbounded integers. This is the harness that would have caught the
 ``int(dividend / divisor)`` idiv bug: float-based shortcuts agree with the
 reference on small operands and drift beyond 2^53, so the 64-bit draws
 here exercise exactly the range where shortcuts break.
+
+Every snippet runs on every execution engine. Single compiled steps
+compute every flag, while superblocks may elide flags proven dead, so only
+running each draw on each engine exercises all of the generated flag code.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.asm.parser import parse_program
-from repro.machine.cpu import Machine
+from repro.machine.cpu import ENGINES, Machine
 from repro.utils.bitops import to_signed, to_unsigned, trunc_div
 
 I64 = st.integers(-(1 << 63), (1 << 63) - 1)
@@ -24,12 +28,20 @@ _FUZZ = settings(max_examples=40, deadline=None)
 
 
 def _run(body: str) -> int:
-    """Run a snippet and return %rax as a signed 64-bit integer."""
+    """Run a snippet on every engine and return %rax as a signed 64-bit
+    integer; every engine must agree, so checking the returned value
+    against the big-int reference checks each engine's result."""
     text = "\t.globl main\nmain:\n"
     for line in body.strip().splitlines():
         text += f"\t{line.strip()}\n"
     text += "\tmovq %rax, %rdi\n\tcall print_long\n\tmovl $0, %eax\n\tretq\n"
-    return int(Machine(parse_program(text)).run().output[0])
+    program = parse_program(text)
+    results = {
+        engine: int(Machine(program, engine=engine).run().output[0])
+        for engine in ENGINES
+    }
+    assert len(set(results.values())) == 1, results
+    return results[ENGINES[0]]
 
 
 class TestAluDifferential:

@@ -200,7 +200,7 @@ class TestEngineSelection:
         monkeypatch.setenv(ENGINE_ENV_VAR, "fused")
         assert Machine(program).engine == "fused"
         monkeypatch.delenv(ENGINE_ENV_VAR)
-        assert Machine(program).engine == "translated"
+        assert Machine(program).engine == "fused"
 
     def test_invalid_env_engine_rejected(self, fuzz_asm, monkeypatch):
         program = fuzz_asm[FUZZ_SEEDS[0]]["raw"]
